@@ -29,6 +29,16 @@ Two layers live here and they are deliberately not identical:
   Both rules are restrictions the checkers do not impose; they pin down
   which of the many formally enforceable moves self-interested students
   actually take, and they reproduce the worked reachability sets exactly.
+
+Every search decides a move with one integer kernel, `_EdgeOracle.edge`,
+over the matchings' assignment vectors, their per-school seat counts and
+the problem's rank tables.  What depends on the lookahead matching is read
+from per-student tables built once per lookahead matching; without them the
+same function is the structural screen of the horizon search.  The reverse
+search keeps no per-move memo, since it tests each ordered pair at most once
+per target; the horizon search memoises only the screen.  The kernel is
+plain Python: importing numpy would add 11 to 13 MB to a search process
+whose peak is about 22 MB.
 """
 from __future__ import annotations
 
@@ -36,7 +46,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .model import (
-    SELF,
     CapacityError,
     Matching,
     Problem,
@@ -62,9 +71,6 @@ class Coalition:
     def __post_init__(self):
         object.__setattr__(self, "students", frozenset(self.students))
         object.__setattr__(self, "schools", frozenset(self.schools))
-
-    def __iter__(self):
-        return iter(sorted(self.students) + sorted(self.schools))
 
     def is_empty(self) -> bool:
         return not self.students and not self.schools
@@ -115,78 +121,19 @@ class StableSetReport:
 
 
 # --------------------------------------------------------------------------
-# Move anatomy
+# Moves
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MoveAnatomy:
-    """Derived facts about a single transition between two matchings."""
+def _replaces(prio: Sequence[int], joiners: Sequence[int], leavers: Sequence[int]) -> bool:
+    """Each leaver matched to a distinct higher-priority joiner (greedy).
 
-    joiners: tuple  # students newly holding a school seat
-    leavers_unreplaced: tuple  # students losing a seat outside any replacement
-    gaining_schools: tuple
-    shrinking_schools: tuple  # schools losing students and gaining none
-    replacement_ok: bool  # every over-capacity gain replaces leavers upward
-
-    @property
-    def movers(self) -> tuple:
-        return self.joiners + self.leavers_unreplaced
-
-
-def _move_anatomy(problem: Problem, a: Matching, b: Matching) -> MoveAnatomy:
-    joiners = []
-    movers = []
-    for i in problem.students:
-        xa, xb = a.school_of(i), b.school_of(i)
-        if xa != xb:
-            movers.append(i)
-            if xb is not SELF:
-                joiners.append(i)
-    gains: dict = {}
-    losses: dict = {}
-    for i in movers:
-        xa, xb = a.school_of(i), b.school_of(i)
-        if xa is not SELF:
-            losses.setdefault(xa, []).append(i)
-        if xb is not SELF:
-            gains.setdefault(xb, []).append(i)
-    replacement_ok = True
-    replaced: set = set()
-    for s, new in gains.items():
-        if len(a.roster(s)) + len(new) > problem.quota(s):
-            left = losses.get(s, [])
-            if _replacement_injection(problem, s, new, left):
-                replaced.update(left)
-            else:
-                replacement_ok = False
-    leavers_unreplaced = tuple(
-        i
-        for s, left in sorted(losses.items())
-        for i in left
-        if i not in replaced
-    )
-    shrinking = tuple(s for s in losses if s not in gains)
-    return MoveAnatomy(
-        joiners=tuple(joiners),
-        leavers_unreplaced=leavers_unreplaced,
-        gaining_schools=tuple(sorted(gains, key=problem.school_index)),
-        shrinking_schools=tuple(sorted(shrinking, key=problem.school_index)),
-        replacement_ok=replacement_ok,
-    )
-
-
-def _replacement_injection(
-    problem: Problem, s: str, joiners: Sequence[str], leavers: Sequence[str]
-) -> bool:
-    """Each leaver matched to a distinct higher-priority joiner (greedy)."""
+    prio is one school's priority-rank row, indexed by student; lower ranks
+    come first.
+    """
     if len(leavers) > len(joiners):
         return False
-    left = sorted(leavers, key=lambda j: problem.priority_rank(s, j))
-    joined = sorted(joiners, key=lambda j: problem.priority_rank(s, j))
-    return all(
-        problem.priority_rank(s, joined[t]) < problem.priority_rank(s, left[t])
-        for t in range(len(left))
-    )
+    joined = sorted(prio[i] for i in joiners)
+    return all(j < q for j, q in zip(joined, sorted(prio[i] for i in leavers)))
 
 
 def school_move_admissible(problem: Problem, s: str, a: Matching, b: Matching) -> bool:
@@ -196,12 +143,13 @@ def school_move_admissible(problem: Problem, s: str, a: Matching, b: Matching) -
     otherwise every departing student must be replaced by a distinct
     newcomer with higher priority.
     """
-    old, new = a.roster(s), b.roster(s)
-    joiners = [i for i in new if i not in old]
-    if len(old) + len(joiners) <= problem.quota(s):
+    c = problem._cidx[s]
+    pairs = list(enumerate(zip(a._assign, b._assign)))
+    joiners = [i for i, (xa, xb) in pairs if xb == c != xa]
+    if a._assign.count(c) + len(joiners) <= problem._quota_vec[c]:
         return True
-    leavers = [i for i in old if i not in new]
-    return _replacement_injection(problem, s, joiners, leavers)
+    leavers = [i for i, (xa, xb) in pairs if xa == c != xb]
+    return _replaces(problem._prio_rank[c], joiners, leavers)
 
 
 def can_enforce(
@@ -231,12 +179,133 @@ def can_enforce(
     return True
 
 
-def _anchored_join_ok(problem: Problem, i: str, s: str, ref: Matching) -> bool:
-    """Joining s is consistent with the lookahead matching ref for student i."""
-    roster = ref.roster(s)
-    if i in roster:
-        return True
-    return any(problem.higher_priority(s, i, j) for j in roster)
+class _EdgeOracle:
+    """The search's edge rule over one universe of matchings, on integers.
+
+    A matching is its assignment vector (a school index per student, m for
+    SELF) plus its per-school seat counts.  For a fixed lookahead matching
+    the validity of a move depends only on its endpoints, so reachability
+    equals plain graph reachability and any walk can be shortened to a
+    sequence of distinct matchings.
+    """
+
+    def __init__(self, problem: Problem, universe: Sequence[Matching]):
+        self.index = {mu: k for k, mu in enumerate(universe)}
+        self.m = m = len(problem.schools)
+        self.vecs = [mu._assign for mu in universe]
+        self.counts = [[v.count(c) for c in range(m)] for v in self.vecs]
+        self.students = range(len(problem.students))
+        self.rank = problem._pref_rank
+        self.prio = problem._prio_rank
+        self.quota = problem._quota_vec
+        self._looks: dict = {}
+        self._succ: dict = {}
+
+    def look(self, t: int):
+        """Per-student tables for lookahead matching t, built once.
+
+        better[i][c] is 1, 0 or -1 as student i ranks her seat in t above,
+        level with or below seat c (a school index, or m for SELF).
+        anchored[i][c] says whether she may claim a seat at school c
+        mid-path: t seats her there, or seats someone there she outranks.
+        """
+        got = self._looks.get(t)
+        if got is None:
+            ref, m, prio = self.vecs[t], self.m, self.prio
+            worst = [-1] * m  # per school, the largest priority rank in t
+            for i, c in enumerate(ref):
+                if c < m and prio[c][i] > worst[c]:
+                    worst[c] = prio[c][i]
+            better, anchored = [], []
+            for i, c in enumerate(ref):
+                row = self.rank[i]
+                r = row[c]
+                better.append(tuple((q > r) - (q < r) for q in row))
+                anchored.append(
+                    tuple(c == s or prio[s][i] < worst[s] for s in range(m))
+                )
+            got = self._looks[t] = (better, anchored)
+        return got
+
+    def edge(self, xa: int, xb: int, look=None):
+        """The coalition that moves xa -> xb given lookahead tables, or None.
+
+        Every joiner must weakly prefer the lookahead to her current seat
+        and claim an anchored seat; a school pushed past its quota must
+        replace each leaver with a distinct higher-priority joiner; every
+        leaver not so replaced must strictly prefer the lookahead; and
+        someone must strictly prefer it.  Without tables only the structural
+        part is checked: someone moves and every replacement holds.  The
+        coalition is a list of student indices and a set of school indices.
+        """
+        m = self.m
+        if look is not None:
+            better, anchored = look
+        joined = []  # (school, student)
+        left = []
+        strict = False
+        for i, ca, cb in zip(self.students, self.vecs[xa], self.vecs[xb]):
+            if ca == cb:
+                continue
+            if cb != m:
+                if look is not None:
+                    gain = better[i][ca]
+                    if gain < 0 or not anchored[i][cb]:
+                        return None
+                    if gain:
+                        strict = True
+                joined.append((cb, i))
+            if ca != m:
+                left.append((ca, i))
+        if not joined and not left:
+            return None
+        count = self.counts[xa]
+        gaining = {s for s, _ in joined}
+        replaced = set()
+        for s in gaining:
+            new = [i for c, i in joined if c == s]
+            if count[s] + len(new) > self.quota[s]:
+                gone = [i for c, i in left if c == s]
+                if not _replaces(self.prio[s], new, gone):
+                    return None
+                replaced.update(gone)
+        unreplaced = [(c, i) for c, i in left if i not in replaced]
+        if look is not None:
+            for c, i in unreplaced:
+                if better[i][c] <= 0:
+                    return None
+            if not (strict or unreplaced):
+                return None
+        return [i for _, i in joined] + [i for _, i in unreplaced], gaining
+
+    def successors(self, x: int) -> list[int]:
+        """Matchings that pass the structural screen from x, memoised."""
+        got = self._succ.get(x)
+        if got is None:
+            got = self._succ[x] = [
+                y for y in range(len(self.vecs)) if y != x and self.edge(x, y)
+            ]
+        return got
+
+    def sources_reaching(self, target_idx: int) -> set[int]:
+        """All universe indices from which the target is reachable."""
+        look = self.look(target_idx)
+        rest = [x for x in range(len(self.vecs)) if x != target_idx]
+        frontier = [target_idx]
+        reached: set[int] = set()
+        while frontier and rest:
+            nxt = []
+            for y in frontier:
+                keep = []
+                for x in rest:
+                    if self.edge(x, y, look):
+                        nxt.append(x)
+                    else:
+                        keep.append(x)
+                rest = keep
+            reached.update(nxt)
+            frontier = nxt
+        return reached
 
 
 def find_enforcing_coalition(
@@ -252,31 +321,15 @@ def find_enforcing_coalition(
     over-capacity gain must replace each departing student with a
     higher-priority newcomer.
     """
-    if a == b:
+    oracle = _EdgeOracle(problem, (a, b, ref))
+    found = oracle.edge(0, 1, oracle.look(2))
+    if found is None:
         return None
-    anatomy = _move_anatomy(problem, a, b)
-    if not anatomy.replacement_ok or not anatomy.movers:
-        return None
-    strict = False
-    for i in anatomy.joiners:
-        ra = problem.pref_rank(i, ref.school_of(i))
-        rb = problem.pref_rank(i, a.school_of(i))
-        if ra > rb:
-            return None
-        if ra < rb:
-            strict = True
-        if not _anchored_join_ok(problem, i, b.school_of(i), ref):
-            return None
-    for i in anatomy.leavers_unreplaced:
-        ra = problem.pref_rank(i, ref.school_of(i))
-        rb = problem.pref_rank(i, a.school_of(i))
-        if ra >= rb:
-            return None
-        strict = True
-    if not strict:
-        return None
-    students = frozenset(anatomy.joiners) | frozenset(anatomy.leavers_unreplaced)
-    return Coalition(students=students, schools=frozenset(anatomy.gaining_schools))
+    students, schools = found
+    return Coalition(
+        students={problem.students[i] for i in students},
+        schools={problem.schools[s] for s in schools},
+    )
 
 
 # --------------------------------------------------------------------------
@@ -346,94 +399,6 @@ def validate_path_horizon(problem: Problem, cert: PathCertificate) -> PathViolat
 # --------------------------------------------------------------------------
 # Reachability search (full farsightedness)
 # --------------------------------------------------------------------------
-
-class _EdgeOracle:
-    """Memoised per-move anatomy for fast edge tests against many targets.
-
-    For a fixed lookahead matching the validity of a move depends only on
-    its endpoints, so reachability equals plain graph reachability and any
-    walk can be shortened to a sequence of distinct matchings.
-    """
-
-    def __init__(self, problem: Problem, universe: Sequence[Matching]):
-        self.problem = problem
-        self.universe = list(universe)
-        self.index = {mu: k for k, mu in enumerate(self.universe)}
-        self._rank = problem._pref_rank
-        self._prio = problem._prio_rank
-        self._vecs = [mu._assign for mu in self.universe]
-        self._m = len(problem.schools)
-        self._cache: dict = {}
-
-    def _anatomy(self, xa: int, xb: int):
-        key = (xa, xb)
-        got = self._cache.get(key)
-        if got is None:
-            a, b = self.universe[xa], self.universe[xb]
-            anatomy = _move_anatomy(self.problem, a, b)
-            joiners = []
-            leavers = []
-            if anatomy.replacement_ok:
-                va, vb = self._vecs[xa], self._vecs[xb]
-                sidx = self.problem._sidx
-                joiners = [
-                    (sidx[i], vb[sidx[i]], va[sidx[i]]) for i in anatomy.joiners
-                ]
-                leavers = [(sidx[i], va[sidx[i]]) for i in anatomy.leavers_unreplaced]
-            got = (anatomy.replacement_ok, tuple(joiners), tuple(leavers))
-            self._cache[key] = got
-        return got
-
-    def ref_profile(self, ref_vec: tuple):
-        """Per-school worst (largest) priority rank among ref's roster."""
-        worst = [-1] * self._m
-        for si, col in enumerate(ref_vec):
-            if col < self._m:
-                r = self._prio[col][si]
-                if r > worst[col]:
-                    worst[col] = r
-        return worst
-
-    def edge_ok(self, xa: int, xb: int, ref_vec: tuple, worst) -> bool:
-        ok, joiners, leavers = self._anatomy(xa, xb)
-        if not ok or not (joiners or leavers):
-            return False
-        rank = self._rank
-        prio = self._prio
-        strict = bool(leavers)
-        for si, school, cur in joiners:
-            row = rank[si]
-            ra, rc = row[ref_vec[si]], row[cur]
-            if ra > rc:
-                return False
-            if ra < rc:
-                strict = True
-            if ref_vec[si] != school and prio[school][si] >= worst[school]:
-                return False
-        for si, cur in leavers:
-            row = rank[si]
-            if row[ref_vec[si]] >= row[cur]:
-                return False
-        return strict
-
-    def sources_reaching(self, target_idx: int) -> set[int]:
-        """All universe indices from which the target is reachable."""
-        ref_vec = self._vecs[target_idx]
-        worst = self.ref_profile(ref_vec)
-        n = len(self.universe)
-        reached = {target_idx}
-        frontier = [target_idx]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for x in range(n):
-                    if x not in reached and self.edge_ok(x, y, ref_vec, worst):
-                        reached.add(x)
-                        nxt.append(x)
-            frontier = nxt
-        reached.discard(target_idx)
-        return reached
-
 
 def _universe(problem: Problem, universe, cap) -> list[Matching]:
     if universe is None:
@@ -507,41 +472,26 @@ def phi_horizon(
     The result is flagged partial when the depth cap or the node budget cut
     any branch.
     """
-    if k < 1:
-        raise ValueError("horizon must be >= 1")
     uni = _universe(problem, universe, cap)
     oracle = _EdgeOracle(problem, uni)
     if mu not in oracle.index:
         raise ValueError("matching not in the enumerated universe")
+    reachable, partial = _phi_horizon(oracle, oracle.index[mu], k, depth_cap, node_budget)
+    return HorizonResult(reachable={uni[t] for t in reachable}, partial=partial)
+
+
+def _phi_horizon(
+    oracle: _EdgeOracle, src: int, k: int, depth_cap: int | None, node_budget: int
+) -> tuple[set[int], bool]:
+    """`phi_horizon` on universe indices, reusing the oracle's memos."""
+    if k < 1:
+        raise ValueError("horizon must be >= 1")
     if depth_cap is None:
-        depth_cap = min(len(uni), DEFAULT_DEPTH_CAP)
-    n = len(uni)
-    vecs = oracle._vecs
-    src = oracle.index[mu]
+        depth_cap = min(len(oracle.vecs), DEFAULT_DEPTH_CAP)
+    edge, look = oracle.edge, oracle.look
     reachable: set[int] = set()
     partial = False
     budget = node_budget
-    profiles: dict = {}
-
-    def movers_ok(xa: int, xb: int, look: int) -> bool:
-        worst = profiles.get(look)
-        if worst is None:
-            worst = oracle.ref_profile(vecs[look])
-            profiles[look] = worst
-        return oracle.edge_ok(xa, xb, vecs[look], worst)
-
-    def window_ok(path: list[int], final: bool) -> bool:
-        # check every move whose lookahead window closed; when `final`,
-        # remaining moves compare against the last matching
-        L = len(path) - 1
-        start = max(0, L - k) if not final else 0
-        for l in range(start, L):
-            look = path[min(l + k, L)]
-            if not final and l + k > L:
-                continue
-            if not movers_ok(path[l], path[l + 1], look):
-                return False
-        return True
 
     def dfs(path: list[int], onpath: set[int]):
         nonlocal partial, budget
@@ -549,41 +499,68 @@ def phi_horizon(
             partial = True
             return
         budget -= 1
-        # certify the current endpoint as a target if all pending windows
-        # close successfully against it
-        if len(path) >= 2 and window_ok(path, final=True):
-            reachable.add(path[-1])
-        if len(path) - 1 >= depth_cap:
+        # certify the current endpoint as a target if every move whose window
+        # is still open holds against it; the others held on extension
+        L = len(path) - 1
+        if L >= 1:
+            ref = look(path[L])
+            if all(edge(path[l], path[l + 1], ref) for l in range(max(0, L - k + 1), L)):
+                reachable.add(path[L])
+        if L >= depth_cap:
             partial = True  # a longer path might certify more targets
             return
-        cur = path[-1]
-        for y in range(n):
+        # the newest move's window is open; it is only screened against
+        # feasibility of the move structure itself
+        for y in oracle.successors(path[L]):
             if y in onpath:
-                continue
-            # the newest move's window is open; it is only screened against
-            # feasibility of the move structure itself
-            ok, joiners, leavers = oracle._anatomy(cur, y)
-            if not ok or not (joiners or leavers):
                 continue
             path.append(y)
             onpath.add(y)
-            # moves whose window closes with this extension must hold
-            L = len(path) - 1
-            l = L - k
-            if l < 0 or movers_ok(path[l], path[l + 1], path[L]):
+            # the move whose window closes with this extension must hold
+            l = L + 1 - k
+            if l < 0 or edge(path[l], path[l + 1], look(y)):
                 dfs(path, onpath)
             path.pop()
             onpath.discard(y)
 
     dfs([src], {src})
-    return HorizonResult(
-        reachable={uni[t] for t in reachable}, partial=partial
-    )
+    return reachable, partial
 
 
 # --------------------------------------------------------------------------
 # Stable sets
 # --------------------------------------------------------------------------
+
+def _horizon_runs(
+    oracle: _EdgeOracle, k: int, depth_cap: int | None
+) -> list[tuple[set[int], bool]]:
+    """`_phi_horizon` from every matching of the universe on one oracle."""
+    return [
+        _phi_horizon(oracle, x, k, depth_cap, DEFAULT_NODE_BUDGET)
+        for x in range(len(oracle.vecs))
+    ]
+
+
+def _horizon_check(runs, cand: list[int]) -> tuple[list, list, bool]:
+    """Internal pairs, external violations and whether anything is unknown.
+
+    A found path is definitive.  A matching whose search was cut short and
+    reached no candidate is unknown, not an external violation; so is
+    internal stability when a candidate's own search was cut short.
+    """
+    inside = set(cand)
+    internal = [(a, b) for a in cand for b in cand if a != b and b in runs[a][0]]
+    unknown = len(cand) > 1 and any(runs[a][1] for a in cand)
+    external = []
+    for x, (reach, partial) in enumerate(runs):
+        if x in inside or not reach.isdisjoint(inside):
+            continue
+        if partial:
+            unknown = True
+        else:
+            external.append(x)
+    return internal, external, unknown
+
 
 def check_stable_set(
     problem: Problem,
@@ -593,59 +570,44 @@ def check_stable_set(
     cap: int = 10**5,
     depth_cap: int | None = None,
 ) -> StableSetReport:
-    """Internal/external stability report for a candidate set of matchings."""
+    """Internal/external stability report for a candidate set of matchings.
+
+    Under a horizon, a verdict a cut-off search cannot settle is
+    `inconclusive` unless an internal violation, a found path, exists.
+    """
     cand = sort_matchings(set(candidate))
     if not cand:
         raise ValueError("candidate set must be nonempty")
     uni = _universe(problem, universe, cap)
-    partial = False
+    oracle = _EdgeOracle(problem, uni)
+    idx = [oracle.index[mu] for mu in cand]
     if horizon == FARSIGHTED:
-        phis = {}
-        oracle = _EdgeOracle(problem, uni)
-        reach_to: dict = {}
-        for mu in cand:
-            t = oracle.index[mu]
-            reach_to[mu] = oracle.sources_reaching(t)
+        reach_to = [oracle.sources_reaching(t) for t in idx]
         internal = [
-            (a, b)
-            for a in cand
-            for b in cand
-            if a != b and oracle.index[a] in reach_to[b]
+            (a, b) for a in idx for j, b in enumerate(idx) if a != b and a in reach_to[j]
         ]
-        cand_set = set(cand)
-        external = []
-        for x, mu in enumerate(uni):
-            if mu in cand_set:
-                continue
-            if not any(x in reach_to[v] for v in cand):
-                external.append(mu)
-    else:
-        k = int(horizon)
-        results = {mu: phi_horizon(problem, mu, k, depth_cap, universe=uni) for mu in uni}
-        partial = any(r.partial for r in results.values())
-        cand_set = set(cand)
-        internal = [
-            (a, b) for a in cand for b in cand if a != b and b in results[a].reachable
-        ]
+        inside = set(idx)
         external = [
-            mu
-            for mu in uni
-            if mu not in cand_set and not (results[mu].reachable & cand_set)
+            x for x in range(len(uni))
+            if x not in inside and not any(x in r for r in reach_to)
         ]
-    ok = not internal and not external
-    if ok and partial:
-        verdict = "inconclusive"
-    elif ok:
-        verdict = "stable"
+        unknown = False
     else:
-        verdict = "unstable"
+        runs = _horizon_runs(oracle, int(horizon), depth_cap)
+        internal, external, unknown = _horizon_check(runs, idx)
     return StableSetReport(
         candidate=cand,
-        internal_violations=internal,
-        external_violations=sort_matchings(external),
-        verdict=verdict,
-        partial=partial,
+        internal_violations=[(uni[a], uni[b]) for a, b in internal],
+        external_violations=sort_matchings(uni[x] for x in external),
+        verdict=_verdict(internal, external, unknown),
+        partial=unknown,
     )
+
+
+def _verdict(internal: list, external: list, unknown: bool) -> str:
+    if internal or (external and not unknown):
+        return "unstable"
+    return "inconclusive" if unknown else "stable"
 
 
 def find_singleton_stable_sets(
@@ -656,25 +618,24 @@ def find_singleton_stable_sets(
 ) -> list[Matching]:
     """All matchings mu with {mu} a (horizon-k) farsighted stable set."""
     uni = _universe(problem, universe, cap)
+    oracle = _EdgeOracle(problem, uni)
     if horizon == FARSIGHTED:
-        oracle = _EdgeOracle(problem, uni)
-        out = []
-        for t, mu in enumerate(uni):
-            sources = oracle.sources_reaching(t)
-            if len(sources) == len(uni) - 1:
-                out.append(mu)
-        return sort_matchings(out)
-    out = []
-    for mu in uni:
-        if check_stable_set(problem, [mu], horizon, universe=uni).verdict == "stable":
-            out.append(mu)
+        out = [
+            mu for t, mu in enumerate(uni)
+            if len(oracle.sources_reaching(t)) == len(uni) - 1
+        ]
+    else:
+        runs = _horizon_runs(oracle, int(horizon), None)
+        out = [
+            mu for t, mu in enumerate(uni)
+            if _verdict(*_horizon_check(runs, [t])) == "stable"
+        ]
     return sort_matchings(out)
 
 
 def find_stable_sets(
     problem: Problem,
     max_size: int = 3,
-    horizon=FARSIGHTED,
     universe: Sequence[Matching] | None = None,
     cap: int = 10**5,
     subset_cap: int = 10**7,
@@ -704,7 +665,6 @@ def find_stable_sets(
         if x != y and not R[x, y] and not R[y, x]
     }
     results = []
-    idx = np.arange(n)
     for size in range(1, max_size + 1):
         for combo in combinations(order, size):
             if any(

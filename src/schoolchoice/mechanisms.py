@@ -83,9 +83,6 @@ class MechanismTrace:
     matching: Matching
     guarantees_initial: dict = field(default_factory=dict)
 
-    def all_cycles(self) -> list:
-        return [c for st in self.steps for c in st.cycles]
-
 
 def _find_cycles(problem: Problem, student_ptr: dict, school_ptr: dict) -> list[Cycle]:
     """Cycles of the pointing graph, deterministically ordered.

@@ -130,9 +130,6 @@ class Problem:
         """True iff student i strictly prefers assignment a to b."""
         return self.pref_rank(i, a) < self.pref_rank(i, b)
 
-    def weakly_prefers(self, i: str, a, b) -> bool:
-        return self.pref_rank(i, a) <= self.pref_rank(i, b)
-
     def acceptable(self, i: str, s: str) -> bool:
         return s in self.preferences.get(i, ())
 
@@ -279,14 +276,6 @@ class Matching:
             if a != m:
                 out[self.problem.schools[a]].add(i)
         return {s: frozenset(v) for s, v in out.items()}
-
-    def matched_pairs(self) -> set:
-        m = len(self.problem.schools)
-        return {
-            (i, self.problem.schools[a])
-            for i, a in zip(self.problem.students, self._assign)
-            if a != m
-        }
 
     def reassign(self, changes: Mapping[str, object]) -> "Matching":
         """New matching with the given students reassigned (validated)."""

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from schoolchoice import Problem, SELF
-from schoolchoice.farsight import _EdgeOracle
+from schoolchoice import Problem, SELF, reachability_matrix
 from schoolchoice.model import enumerate_matchings
 
 
@@ -112,14 +111,7 @@ def trading_universe(trading_instance):
 @pytest.fixture(scope="session")
 def trading_reachability(trading_instance, trading_universe):
     """Full reachability map of the trading instance, computed once."""
-    import numpy as np
-
-    oracle = _EdgeOracle(trading_instance, trading_universe)
-    n = len(trading_universe)
-    R = np.zeros((n, n), dtype=bool)
-    for t in range(n):
-        for x in oracle.sources_reaching(t):
-            R[x, t] = True
+    R, _ = reachability_matrix(trading_instance, universe=trading_universe)
     index = {mu: k for k, mu in enumerate(trading_universe)}
     return R, index
 

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +27,7 @@ from schoolchoice import (
     validate_path,
     validate_path_horizon,
 )
-from schoolchoice.farsight import MoveStep
+from schoolchoice.farsight import MoveStep, _EdgeOracle
 
 from conftest import matching_of, random_problem
 
@@ -129,6 +133,21 @@ class TestFindEnforcingCoalition:
             )
             is None
         )
+
+
+    def test_walkthrough_coalitions(self, trading_instance, trading_goldens, walkthrough):
+        # the search forms the agents a move touches, looking at the path's end
+        expected = [
+            ({"i3"}, {"s1"}),
+            ({"i2", "i3"}, set()),
+            ({"i2", "i3"}, {"s1", "s2"}),
+            ({"i4"}, {"s3"}),
+        ]
+        for step, (students, schools) in zip(walkthrough.steps, expected):
+            found = find_enforcing_coalition(
+                trading_instance, step.source, step.target, trading_goldens["ttc"]
+            )
+            assert found == Coalition(students, schools)
 
 
 class TestPhi:
@@ -316,6 +335,28 @@ class TestStableSets:
         found = find_singleton_stable_sets(p)
         assert [m.literal() for m in found] == ["i1->s1"]
 
+    def test_cut_off_horizon_search_is_inconclusive(self):
+        # every search from outside {TTC} reaches the depth cap of 2 before
+        # it finds TTC, so no external violation is known
+        p = Problem(
+            ("i1", "i2", "i3", "i4"), ("s1", "s2"), {"s1": 1, "s2": 1},
+            {"i1": ("s2",), "i2": ("s1",), "i3": ("s1", "s2"), "i4": ("s2", "s1")},
+            {"s1": ("i1", "i3", "i4", "i2"), "s2": ("i2", "i1", "i4", "i3")},
+        )
+        ttc, _ = run_ttc(p)
+        report = check_stable_set(p, [ttc], horizon=3, depth_cap=2)
+        assert report.verdict == "inconclusive"
+        assert report.partial
+        assert not report.external_violations and not report.internal_violations
+        assert check_stable_set(p, [ttc], horizon=3, depth_cap=3).verdict == "stable"
+
+    def test_horizon_below_one_rejected(self, trading_instance, trading_goldens, trading_universe):
+        ttc = trading_goldens["ttc"]
+        with pytest.raises(ValueError):
+            check_stable_set(trading_instance, [ttc], horizon=0, universe=trading_universe)
+        with pytest.raises(ValueError):
+            find_singleton_stable_sets(trading_instance, 0, universe=trading_universe)
+
     def test_find_sets_up_to_three(
         self, trading_instance, trading_goldens, trading_universe
     ):
@@ -425,3 +466,60 @@ class TestReachabilityOracle:
         start = trading_goldens["walkthrough_start"]
         nxt = matching_of(trading_instance, i1="s1", i2="s2", i3="s1", i4="self")
         assert oracle_edge(trading_instance, start, nxt, trading_goldens["ttc"])
+
+
+class TestEdgeKernel:
+    def test_matches_independent_oracle_edge(self):
+        rng = random.Random(404)
+        instances = 0
+        replacement = {True: 0, False: 0}  # over-capacity moves by injection outcome
+        replaced_edges = 0
+        while instances < 30:
+            n = rng.randint(4, 5)
+            students = tuple(f"i{k}" for k in range(1, n + 1))
+            schools = ("s1", "s2")
+            quotas = {"s1": rng.randint(1, 2), "s2": 1}
+            prefs = {i: tuple(rng.sample(schools, rng.randint(1, 2))) for i in students}
+            prios = {s: tuple(rng.sample(students, n)) for s in schools}
+            p = Problem(students, schools, quotas, prefs, prios)
+            universe = enumerate_matchings(p)
+            if len(universe) > 40:
+                continue
+            instances += 1
+            oracle = _EdgeOracle(p, universe)
+            refs = rng.sample(range(len(universe)), 3)
+            for x, a in enumerate(universe):
+                for y, b in enumerate(universe):
+                    over = [
+                        s for s in p.schools
+                        if len(a.roster(s) | b.roster(s)) > p.quota(s)
+                    ]
+                    if over:
+                        admissible = all(school_move_admissible(p, s, a, b) for s in over)
+                        replacement[admissible] += 1
+                    for t in refs:
+                        got = oracle.edge(x, y, oracle.look(t)) is not None
+                        assert got == oracle_edge(p, a, b, universe[t]), (x, y, t)
+                        replaced_edges += got and bool(over)
+        assert replacement[True] and replacement[False]
+        assert replaced_edges
+
+    def test_search_leaves_numpy_unimported(self):
+        script = (
+            "import sys\n"
+            "from schoolchoice import check_stable_set, enumerate_matchings, phi_horizon, run_ttc\n"
+            "from schoolchoice import Problem\n"
+            "p = Problem(('i1', 'i2'), ('s1',), {'s1': 1}, {'i1': ('s1',), 'i2': ('s1',)},\n"
+            "            {'s1': ('i2', 'i1')})\n"
+            "mu, _ = run_ttc(p)\n"
+            "check_stable_set(p, [mu])\n"
+            "check_stable_set(p, [mu], horizon=2)\n"
+            "phi_horizon(p, p.empty_matching(), 2)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.stdout.strip() == "False"
