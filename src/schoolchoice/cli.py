@@ -28,7 +28,6 @@ from .model import (
     CapacityError,
     SchoolChoiceError,
     enumerate_matchings,
-    has_no_justified_envy,
     is_individually_rational,
     is_non_wasteful,
     is_pareto_efficient,
@@ -37,6 +36,7 @@ from .model import (
 )
 from .textio import (
     InstanceParseError,
+    certificate_to_dict,
     load_certificate,
     parse_instance,
     parse_matching,
@@ -87,8 +87,8 @@ def cmd_properties(args) -> int:
     mu = parse_matching(problem, args.matching)
     rational = is_individually_rational(problem, mu)
     nonwasteful = is_non_wasteful(problem, mu)
-    envy_free = has_no_justified_envy(problem, mu)
     witnesses = justified_envy_witnesses(problem, mu)
+    envy_free = not witnesses
     stable = rational and nonwasteful and envy_free
     efficient = is_pareto_efficient(problem, mu)
     lines = [
@@ -160,8 +160,6 @@ def cmd_path(args) -> int:
                 + " ".join(sorted(co.students) + sorted(co.schools))
             )
     lines.append(f"verdict: {verdict}")
-    from .textio import certificate_to_dict
-
     payload = {
         "target": args.target,
         "certificate": certificate_to_dict(cert),

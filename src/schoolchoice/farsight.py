@@ -58,6 +58,10 @@ FARSIGHTED = "farsighted"
 #: Default depth cap for the horizon-k path search.
 DEFAULT_DEPTH_CAP = 12
 
+#: Default cap on the matchings a search enumerates; enumeration on its own
+#: allows `model.DEFAULT_ENUMERATION_CAP` (10**7).
+DEFAULT_SEARCH_CAP = 10**5
+
 #: Expansion budget for the horizon-k depth-first search; when exhausted the
 #: result is flagged partial rather than wrong.
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -347,6 +351,35 @@ class PathViolation:
         return f"step {self.step}: {self.condition}"
 
 
+def _step_violation(
+    problem: Problem, a: Matching, b: Matching, coalition: Coalition, look: Matching
+) -> str | None:
+    """Why the coalition's move a -> b fails, given lookahead matching look.
+
+    None when the move passes: the coalition has a student and can enforce
+    the move, every student in it weakly prefers look to her seat in a and
+    one strictly, and every school in it can admit its newcomers.
+    """
+    if not coalition.students:
+        return "coalition has no student"
+    if not can_enforce(problem, a, b, coalition):
+        return "coalition cannot enforce the move"
+    strict = False
+    for i in sorted(coalition.students):
+        ra = problem.pref_rank(i, look.school_of(i))
+        rb = problem.pref_rank(i, a.school_of(i))
+        if ra > rb:
+            return f"student {i} does not weakly improve"
+        if ra < rb:
+            strict = True
+    if not strict:
+        return "no strict improver in the coalition"
+    for s in sorted(coalition.schools):
+        if not school_move_admissible(problem, s, a, b):
+            return f"school {s} cannot admit its newcomers"
+    return None
+
+
 def _validate(problem: Problem, cert: PathCertificate, k: int | None) -> PathViolation | None:
     mus = cert.matchings
     if len(mus) < 2:
@@ -359,25 +392,10 @@ def _validate(problem: Problem, cert: PathCertificate, k: int | None) -> PathVio
     for l, step in enumerate(cert.steps):
         if step.source != mus[l] or step.target != mus[l + 1]:
             return PathViolation(l, "step endpoints disagree with the matching sequence")
-        coalition = step.coalition
-        if not coalition.students:
-            return PathViolation(l, "coalition has no student")
-        if not can_enforce(problem, mus[l], mus[l + 1], coalition):
-            return PathViolation(l, "coalition cannot enforce the move")
         look = mus[last] if k is None else mus[min(l + k, last)]
-        strict = False
-        for i in sorted(coalition.students):
-            ra = problem.pref_rank(i, look.school_of(i))
-            rb = problem.pref_rank(i, mus[l].school_of(i))
-            if ra > rb:
-                return PathViolation(l, f"student {i} does not weakly improve")
-            if ra < rb:
-                strict = True
-        if not strict:
-            return PathViolation(l, "no strict improver in the coalition")
-        for s in sorted(coalition.schools):
-            if not school_move_admissible(problem, s, mus[l], mus[l + 1]):
-                return PathViolation(l, f"school {s} cannot admit its newcomers")
+        condition = _step_violation(problem, mus[l], mus[l + 1], step.coalition, look)
+        if condition is not None:
+            return PathViolation(l, condition)
     return None
 
 
@@ -410,7 +428,7 @@ def phi(
     problem: Problem,
     mu: Matching,
     universe: Sequence[Matching] | None = None,
-    cap: int = 10**5,
+    cap: int = DEFAULT_SEARCH_CAP,
 ) -> set[Matching]:
     """All matchings reachable from mu by a farsighted improving path."""
     uni = _universe(problem, universe, cap)
@@ -430,7 +448,7 @@ def phi(
 def reachability_matrix(
     problem: Problem,
     universe: Sequence[Matching] | None = None,
-    cap: int = 10**5,
+    cap: int = DEFAULT_SEARCH_CAP,
 ):
     """numpy bool matrix R with R[x, t] true iff target t is in phi(x)."""
     import numpy as np
@@ -461,7 +479,7 @@ def phi_horizon(
     k: int,
     depth_cap: int | None = None,
     universe: Sequence[Matching] | None = None,
-    cap: int = 10**5,
+    cap: int = DEFAULT_SEARCH_CAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> HorizonResult:
     """Matchings reachable by a horizon-k improving path of length <= depth_cap.
@@ -567,7 +585,7 @@ def check_stable_set(
     candidate: Iterable[Matching],
     horizon=FARSIGHTED,
     universe: Sequence[Matching] | None = None,
-    cap: int = 10**5,
+    cap: int = DEFAULT_SEARCH_CAP,
     depth_cap: int | None = None,
 ) -> StableSetReport:
     """Internal/external stability report for a candidate set of matchings.
@@ -614,7 +632,7 @@ def find_singleton_stable_sets(
     problem: Problem,
     horizon=FARSIGHTED,
     universe: Sequence[Matching] | None = None,
-    cap: int = 10**5,
+    cap: int = DEFAULT_SEARCH_CAP,
 ) -> list[Matching]:
     """All matchings mu with {mu} a (horizon-k) farsighted stable set."""
     uni = _universe(problem, universe, cap)
@@ -637,7 +655,7 @@ def find_stable_sets(
     problem: Problem,
     max_size: int = 3,
     universe: Sequence[Matching] | None = None,
-    cap: int = 10**5,
+    cap: int = DEFAULT_SEARCH_CAP,
     subset_cap: int = 10**7,
 ) -> list[list[Matching]]:
     """All farsighted stable sets of size <= max_size (exhaustive search).

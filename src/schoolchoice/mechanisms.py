@@ -7,6 +7,7 @@ enough to replay or audit a run.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .model import SELF, Matching, Problem
@@ -84,70 +85,46 @@ class MechanismTrace:
     guarantees_initial: dict = field(default_factory=dict)
 
 
+def _functional_cycles(succ: dict, starts) -> list[list]:
+    """Cycles of a graph in which every node has at most one successor.
+
+    succ maps a node to its successor; a node missing from it has none.  A
+    walk from each start in turn follows successors until it meets a node
+    already classified or one on its own path; the latter closes a cycle,
+    listed from that node in walk order.  Cycles come in discovery order.
+    """
+    done: set = set()
+    cycles = []
+    for start in starts:
+        path, seen_at, cur = [], {}, start
+        while cur in succ and cur not in done and cur not in seen_at:
+            seen_at[cur] = len(path)
+            path.append(cur)
+            cur = succ[cur]
+        if cur in seen_at:
+            cycles.append(path[seen_at[cur]:])
+        done.update(path)
+    return cycles
+
+
 def _find_cycles(problem: Problem, student_ptr: dict, school_ptr: dict) -> list[Cycle]:
     """Cycles of the pointing graph, deterministically ordered.
 
     student_ptr maps student -> school or SELF; school_ptr maps school ->
-    student.  Every node has at most one outgoing edge, so each node lies on
-    at most one cycle.  Non-self cycles are rotated to start at their
-    earliest school (declaration order); cycle list is sorted by that school,
-    with self-cycles last in student order.
+    student.  A student pointing at SELF is a self-loop.  Non-self cycles
+    are rotated to start at their earliest school (declaration order); the
+    cycle list is sorted by that school, with self-cycles last in student
+    order.
     """
-    cycles = []
-    state: dict = {}  # node -> "done" once classified
-
-    def follow(node):
-        path = []
-        seen_at = {}
-        cur = node
-        while True:
-            if cur in state:
-                for p in path:
-                    state[p] = "done"
-                return
-            if cur in seen_at:
-                cyc = path[seen_at[cur]:]
-                for p in path:
-                    state[p] = "done"
-                cycles.append(cyc)
-                return
-            seen_at[cur] = len(path)
-            path.append(cur)
-            if cur[0] == "i":
-                if cur[1] not in student_ptr:
-                    for p in path:
-                        state[p] = "done"
-                    return
-                nxt = student_ptr[cur[1]]
-                if nxt is SELF:
-                    for p in path:
-                        state[p] = "done"
-                    cycles.append([cur])
-                    return
-                cur = ("s", nxt)
-            else:
-                j = school_ptr.get(cur[1])
-                if j is None:
-                    for p in path:
-                        state[p] = "done"
-                    return
-                cur = ("i", j)
-
-    for i in student_ptr:
-        follow(("i", i))
-    for s in school_ptr:
-        follow(("s", s))
-
+    succ = {("i", i): ("i", i) if s is SELF else ("s", s) for i, s in student_ptr.items()}
+    succ.update({("s", s): ("i", j) for s, j in school_ptr.items()})
     out = []
-    for cyc in cycles:
-        if len(cyc) == 1 and cyc[0][0] == "i":
+    for cyc in _functional_cycles(succ, succ):
+        if len(cyc) == 1:
             out.append(Cycle((cyc[0][1],), is_self_cycle=True))
             continue
         school_positions = [k for k, node in enumerate(cyc) if node[0] == "s"]
-        start = min(
-            school_positions,
-            key=lambda k: problem.school_index(cyc[k][1]),
-        )
+        start = min(school_positions, key=lambda k: problem.school_index(cyc[k][1]))
         rotated = cyc[start:] + cyc[:start]
         out.append(Cycle(tuple(node[1] for node in rotated)))
 
@@ -166,12 +143,49 @@ def _best_school_with_capacity(problem: Problem, i: str, capacity: dict):
     return SELF
 
 
-def _top_priority_remaining(problem: Problem, s: str, remaining) -> str | None:
-    best = None
-    for i in remaining:
-        if best is None or problem.higher_priority(s, i, best):
-            best = i
-    return best
+def _top_priority(problem: Problem, s: str, pool, k: int) -> tuple:
+    """The k highest-priority students of pool at school s, in pool order.
+
+    A student qualifies when fewer than k members of the pool have strictly
+    higher priority, so students tied at the cut (possible only when a
+    priority order is not a full permutation) all qualify.
+    """
+    if k <= 0 or not pool:
+        return ()
+    row, sidx = problem._prio_rank[problem._cidx[s]], problem._sidx
+    ranks = [row[sidx[i]] for i in pool]
+    cut = heapq.nsmallest(k, ranks)[-1]
+    return tuple(i for i, r in zip(pool, ranks) if r <= cut)
+
+
+def _execute(step: TraceStep, assignment: dict, capacity: dict, moves) -> None:
+    """Match each (student, school or SELF) of moves, using up the seats."""
+    for i, a in moves:
+        assignment[i] = a
+        step.matches[i] = a
+        if a is not SELF:
+            capacity[a] -= 1
+
+
+def _trade(
+    problem: Problem, step: TraceStep, assignment: dict, capacity: dict, students, pool
+) -> dict:
+    """One trading round; returns the student pointers.
+
+    Each of `students` points at her best school with a free seat (or at
+    herself), each school with a free seat at its highest-priority student
+    in pool, and every cycle of that graph executes.
+    """
+    student_ptr = {i: _best_school_with_capacity(problem, i, capacity) for i in students}
+    school_ptr = {
+        s: _top_priority(problem, s, pool, 1)[0]
+        for s in problem.schools
+        if capacity[s] >= 1 and pool
+    }
+    step.cycles = _find_cycles(problem, student_ptr, school_ptr)
+    moves = (m for c in step.cycles for m in c.assignments().items())
+    _execute(step, assignment, capacity, moves)
+    return student_ptr
 
 
 # --------------------------------------------------------------------------
@@ -186,25 +200,9 @@ def run_ttc(problem: Problem) -> tuple[Matching, MechanismTrace]:
     step_no = 0
     while remaining:
         step_no += 1
-        student_ptr = {i: _best_school_with_capacity(problem, i, capacity) for i in remaining}
-        school_ptr = {}
-        for s in problem.schools:
-            if capacity[s] >= 1:
-                j = _top_priority_remaining(problem, s, remaining)
-                if j is not None:
-                    school_ptr[s] = j
-        cycles = _find_cycles(problem, student_ptr, school_ptr)
         record = TraceStep(step=step_no, capacities=dict(capacity))
-        matched = []
-        for cyc in cycles:
-            record.cycles.append(cyc)
-            for i, a in cyc.assignments().items():
-                assignment[i] = a
-                record.matches[i] = a
-                matched.append(i)
-                if a is not SELF:
-                    capacity[a] -= 1
-        remaining = [i for i in remaining if i not in set(matched)]
+        _trade(problem, record, assignment, capacity, remaining, remaining)
+        remaining = [i for i in remaining if i not in assignment]
         steps.append(record)
     mu = problem.matching(assignment)
     return mu, MechanismTrace("ttc", steps, mu)
@@ -281,10 +279,7 @@ def run_ia(problem: Problem) -> Matching:
 def initial_guarantees(problem: Problem) -> dict:
     """School -> students holding one of its quota-many highest priorities."""
     return {
-        s: tuple(
-            i for i in problem.students if problem.priority_rank(s, i) <= problem.quota(s)
-        )
-        for s in problem.schools
+        s: _top_priority(problem, s, problem.students, problem.quota(s)) for s in problem.schools
     }
 
 
@@ -307,39 +302,16 @@ def run_fct(problem: Problem) -> tuple[Matching, MechanismTrace]:
             s = _best_school_with_capacity(problem, i, capacity)
             if s is not SELF and i in guaranteed[s]:
                 clinches.append((i, s))
-        for i, s in clinches:
-            assignment[i] = s
-            capacity[s] -= 1
-            record.matches[i] = s
+        _execute(record, assignment, capacity, clinches)
         record.clinch_rounds.append(ClinchRound(1, dict(guarantees), clinches))
-        clinched = {i for i, _ in clinches}
-        remaining = [i for i in remaining if i not in clinched]
+        remaining = [i for i in remaining if i not in assignment]
         # trading phase: schools keep pointing at the step-start remaining
         # set, so a cycle through a just-clinched student does not form
-        student_ptr = {i: _best_school_with_capacity(problem, i, capacity) for i in remaining}
-        school_ptr = {}
-        for s in problem.schools:
-            if capacity[s] >= 1:
-                j = _top_priority_remaining(problem, s, step_start_remaining)
-                if j is not None:
-                    school_ptr[s] = j
-        cycles = [
-            c
-            for c in _find_cycles(problem, student_ptr, school_ptr)
-            if set(c.students) <= set(remaining)
-        ]
-        matched = []
-        for cyc in cycles:
-            record.cycles.append(cyc)
-            for i, a in cyc.assignments().items():
-                assignment[i] = a
-                record.matches[i] = a
-                matched.append(i)
-                if a is not SELF:
-                    capacity[a] -= 1
-        remaining = [i for i in remaining if i not in set(matched)]
+        # (such a student points nowhere)
+        _trade(problem, record, assignment, capacity, remaining, step_start_remaining)
+        remaining = [i for i in remaining if i not in assignment]
         steps.append(record)
-        if not clinches and not cycles:
+        if not clinches and not record.cycles:
             raise AssertionError("first clinch and trade made no progress")
     mu = problem.matching(assignment)
     return mu, MechanismTrace("fct", steps, mu, guarantees_initial=guarantees)
@@ -374,22 +346,18 @@ def run_ct(problem: Problem) -> tuple[Matching, MechanismTrace]:
         round_no = 0
         while True:
             round_no += 1
-            eligible = [i for i in unclinched if i not in excluded]
-            pool = set(unclinched)  # rank competitors: everyone not yet removed
-            guarantees = {}
-            for s in problem.schools:
-                g = []
-                for i in eligible:
-                    ahead = sum(
-                        1
-                        for j in pool
-                        if j != i and problem.higher_priority(s, j, i)
-                    )
-                    if ahead < capacity[s]:
-                        g.append(i)
-                guarantees[s] = tuple(g)
+            # rank competitors: everyone not yet removed; excluded students
+            # compete but hold no guarantee
+            guarantees = {
+                s: tuple(
+                    i
+                    for i in _top_priority(problem, s, unclinched, capacity[s])
+                    if i not in excluded
+                )
+                for s in problem.schools
+            }
             clinches = []
-            for i in eligible:
+            for i in unclinched:
                 prefs = problem.preferences[i]
                 if not prefs:
                     continue
@@ -399,35 +367,13 @@ def run_ct(problem: Problem) -> tuple[Matching, MechanismTrace]:
             if not clinches:
                 break
             record.clinch_rounds.append(ClinchRound(round_no, guarantees, clinches))
-            for i, s in clinches:
-                assignment[i] = s
-                capacity[s] -= 1
-                record.matches[i] = s
-            clinched = {i for i, _ in clinches}
-            unclinched = [i for i in unclinched if i not in clinched]
+            _execute(record, assignment, capacity, clinches)
+            unclinched = [i for i in unclinched if i not in assignment]
         # one trading round among everyone left (excluded students included)
-        student_ptr = {
-            i: _best_school_with_capacity(problem, i, capacity) for i in unclinched
-        }
-        school_ptr = {}
-        for s in problem.schools:
-            if capacity[s] >= 1:
-                j = _top_priority_remaining(problem, s, unclinched)
-                if j is not None:
-                    school_ptr[s] = j
+        student_ptr = _trade(problem, record, assignment, capacity, unclinched, unclinched)
         pointed_last_trading = {
             i: (None if p is SELF else p) for i, p in student_ptr.items()
         }
-        cycles = _find_cycles(problem, student_ptr, school_ptr)
-        matched = []
-        for cyc in cycles:
-            record.cycles.append(cyc)
-            for i, a in cyc.assignments().items():
-                assignment[i] = a
-                record.matches[i] = a
-                matched.append(i)
-                if a is not SELF:
-                    capacity[a] -= 1
         remaining = [i for i in remaining if i not in assignment]
         steps.append(record)
         if not record.matches:
@@ -451,24 +397,14 @@ def run_ettc(problem: Problem) -> tuple[Matching, MechanismTrace]:
         record = TraceStep(step=step_no, capacities=dict(capacity))
         # inheritance: each school's open seats go to its highest-priority
         # remaining students, one seat per student
-        pairs = []
-        for i in problem.students:
-            if i not in remaining:
-                continue
-            for s in problem.schools:
-                ahead = sum(
-                    1
-                    for j in remaining
-                    if j != i and problem.higher_priority(s, j, i)
-                )
-                if ahead < capacity[s]:
-                    pairs.append((i, s))
-        record.pairs = list(pairs)
+        heirs = {
+            s: set(_top_priority(problem, s, remaining, capacity[s])) for s in problem.schools
+        }
+        pairs = [(i, s) for i in remaining for s in problem.schools if i in heirs[s]]
+        record.pairs = pairs
         if not pairs:
             # no seat left to inherit anywhere: everyone remaining ends alone
-            for i in remaining:
-                assignment[i] = SELF
-                record.matches[i] = SELF
+            _execute(record, assignment, capacity, ((i, SELF) for i in remaining))
             remaining = []
             steps.append(record)
             break
@@ -490,60 +426,29 @@ def run_ettc(problem: Problem) -> tuple[Matching, MechanismTrace]:
             if target_school is None:
                 self_removed.append(i)
                 continue
-            holder = min(
-                holders[target_school], key=lambda l: problem.priority_rank(s, l)
-            )
+            holder = _top_priority(problem, s, holders[target_school], 1)[0]
             ptr[(i, s)] = (holder, target_school)
 
         # students with no acceptable inheritable seat leave unmatched
-        for i in dict.fromkeys(self_removed):
-            assignment[i] = SELF
-            record.matches[i] = SELF
+        _execute(record, assignment, capacity, ((i, SELF) for i in dict.fromkeys(self_removed)))
         remaining = [i for i in remaining if i not in assignment]
-        pairs = [(i, s) for i, s in pairs if i in set(remaining)]
+        pairs = [(i, s) for i, s in pairs if i not in assignment]
 
         # cycles of the pair graph
-        state: dict = {}
-        pair_cycles = []
-        for start in pairs:
-            if start in state or start not in ptr:
-                continue
-            path = []
-            seen_at: dict = {}
-            cur = start
-            while True:
-                if cur in state or cur not in ptr:
-                    for p in path:
-                        state[p] = "done"
-                    break
-                if cur in seen_at:
-                    cyc = path[seen_at[cur]:]
-                    for p in path:
-                        state[p] = "done"
-                    pair_cycles.append(cyc)
-                    break
-                seen_at[cur] = len(path)
-                path.append(cur)
-                cur = ptr[cur]
-        record.pair_cycles = [list(c) for c in pair_cycles]
+        pair_cycles = record.pair_cycles = _functional_cycles(ptr, pairs)
 
         # execution: a student in cycles takes her best pointed-to school;
         # seats of her other cycle pairs pass to the pairs pointing at them,
         # uninvolved seats return to the inheritance pool next step
         targets: dict = {}
         for cyc in pair_cycles:
-            for (i, s) in cyc:
-                t = ptr[(i, s)][1]
-                targets.setdefault(i, []).append(t)
-        matched = []
-        for i, opts in targets.items():
-            best = min(opts, key=lambda t: problem.pref_rank(i, t))
-            assignment[i] = best
-            record.matches[i] = best
-            matched.append(i)
-        for i in matched:
-            capacity[assignment[i]] -= 1
-        remaining = [i for i in remaining if i not in set(matched)]
+            for pair in cyc:
+                targets.setdefault(pair[0], []).append(ptr[pair][1])
+        best = (
+            (i, min(opts, key=lambda t: problem.pref_rank(i, t))) for i, opts in targets.items()
+        )
+        _execute(record, assignment, capacity, best)
+        remaining = [i for i in remaining if i not in assignment]
         steps.append(record)
         if not record.matches:
             raise AssertionError("equitable top trading cycles made no progress")

@@ -371,23 +371,6 @@ def is_non_wasteful(problem: Problem, mu: Matching) -> bool:
     return True
 
 
-def has_no_justified_envy(problem: Problem, mu: Matching) -> bool:
-    """True iff every student envied at a school has higher priority there.
-
-    Student i justifiably envies j at school s when j holds a seat at s,
-    i prefers s to her own assignment, and i has higher priority at s.
-    """
-    for i in problem.students:
-        own = mu.school_of(i)
-        for j in problem.students:
-            s = mu.school_of(j)
-            if s is SELF or j == i:
-                continue
-            if problem.prefers(i, s, own) and problem.higher_priority(s, i, j):
-                return False
-    return True
-
-
 def justified_envy_witnesses(problem: Problem, mu: Matching) -> list[tuple[str, str, str]]:
     """All (envious student, occupant, school) triples witnessing justified envy."""
     out = []
@@ -400,6 +383,15 @@ def justified_envy_witnesses(problem: Problem, mu: Matching) -> list[tuple[str, 
             if problem.prefers(i, s, own) and problem.higher_priority(s, i, j):
                 out.append((i, j, s))
     return out
+
+
+def has_no_justified_envy(problem: Problem, mu: Matching) -> bool:
+    """True iff every student envied at a school has higher priority there.
+
+    Student i justifiably envies j at school s when j holds a seat at s,
+    i prefers s to her own assignment, and i has higher priority at s.
+    """
+    return not justified_envy_witnesses(problem, mu)
 
 
 def is_stable(problem: Problem, mu: Matching) -> bool:

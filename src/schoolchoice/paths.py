@@ -25,14 +25,7 @@ from dataclasses import dataclass, field
 
 from .model import SELF, Matching, Problem, SchoolChoiceError
 from .mechanisms import Cycle, run_ct, run_ettc, run_fct, run_ttc
-from .farsight import (
-    FARSIGHTED,
-    Coalition,
-    MoveStep,
-    PathCertificate,
-    can_enforce,
-    school_move_admissible,
-)
+from .farsight import Coalition, MoveStep, PathCertificate, _step_violation
 
 
 class IdentityError(SchoolChoiceError):
@@ -67,29 +60,6 @@ class _PathAccumulator:
     def current(self) -> Matching:
         return self.matchings[-1]
 
-    def move_valid(self, target: Matching, students, schools) -> bool:
-        """Would the validator accept this single move toward the target?"""
-        problem = self.problem
-        cur = self.current
-        if target == cur:
-            return True
-        coalition = Coalition(frozenset(students), frozenset(schools))
-        if not coalition.students or not can_enforce(problem, cur, target, coalition):
-            return False
-        strict = False
-        for i in coalition.students:
-            ra = problem.pref_rank(i, self.final.school_of(i))
-            rc = problem.pref_rank(i, cur.school_of(i))
-            if ra > rc:
-                return False
-            if ra < rc:
-                strict = True
-        if not strict:
-            return False
-        return all(
-            school_move_admissible(problem, s, cur, target) for s in coalition.schools
-        )
-
     def emit(self, target: Matching, students, schools, phase: str, detail: str = ""):
         cur = self.current
         if target == cur:
@@ -102,11 +72,14 @@ class _PathAccumulator:
             del self.matchings[pos + 1 :]
             del self.steps[pos:]
             return
-        coalition = Coalition(frozenset(students), frozenset(schools))
-        self.steps.append(MoveStep(cur, target, coalition))
+        self.steps.append(MoveStep(cur, target, Coalition(students, schools)))
         self.matchings.append(target)
         self.positions[target] = len(self.matchings) - 1
         self.log.add(phase, detail, target)
+
+    def vacate(self, students, phase: str, detail: str):
+        """The students give up their seats together."""
+        self.emit(self.current.reassign({i: SELF for i in students}), students, (), phase, detail)
 
     def shed_candidates(self, roster, s: str, count: int) -> list:
         """Occupants to evict from s, unsettled squatters first, each group
@@ -117,38 +90,48 @@ class _PathAccumulator:
 
         return sorted(roster, key=key)[:count]
 
-    def join_changes(self, moves: dict) -> dict:
-        """Reassignments realising `moves` (student -> school), shedding
-        occupants of any school pushed past quota."""
+    def joined(self, moves: dict) -> Matching:
+        """The current matching with `moves` (student -> school) realised,
+        shedding occupants of any school pushed past quota."""
         cur = self.current
         changes = dict(moves)
-        movers = set(moves)
         for s in set(moves.values()):
-            staying = [j for j in cur.roster(s) if j not in movers]
-            entering = sum(1 for i, t in moves.items() if t == s)
+            staying = [j for j in cur.roster(s) if j not in moves]
+            entering = sum(1 for t in moves.values() if t == s)
             need = entering + len(staying) - self.problem.quota(s)
             if need > 0:
                 for j in self.shed_candidates(staying, s, need):
                     changes[j] = SELF
-        return changes
+        return cur.reassign(changes)
 
-    def certificate(self, horizon=FARSIGHTED) -> PathCertificate:
-        return PathCertificate(tuple(self.matchings), tuple(self.steps), horizon)
+    def join(self, moves: dict, phase: str, detail: str, clear: str | None = None):
+        """Emit the move realising `moves`; the movers and the schools they
+        join form the coalition.
+
+        Given a `clear` detail, a move the validator would reject (say, one
+        school losing several movers while admitting one) is preceded by
+        the movers giving up their seats, which restores one-in-one-out
+        moves.
+        """
+        schools = set(moves.values())
+        target = self.joined(moves)
+        if clear is not None and target != self.current and _step_violation(
+            self.problem, self.current, target, Coalition(moves, schools), self.final
+        ):
+            self.vacate(moves, phase, clear)
+            target = self.joined(moves)
+        self.emit(target, moves, schools, phase, detail)
 
 
 def _vacate_self_bound(acc: _PathAccumulator, students, label: str):
     """Students destined to end unmatched give up their current seats."""
     for j in students:
-        if acc.current.school_of(j) is not SELF:
-            acc.emit(
-                acc.current.reassign({j: SELF}), {j}, set(), label, f"unmatched {j}"
-            )
+        acc.vacate({j}, label, f"unmatched {j}")
         acc.settled.add(j)
 
 
 def _cycle_block(acc: _PathAccumulator, cyc: Cycle, label: str):
     """Emit the insertion / vacate / rematch moves realising one cycle."""
-    problem = acc.problem
     students = list(cyc.students)
     if cyc.is_self_cycle:
         _vacate_self_bound(acc, students, label)
@@ -157,142 +140,74 @@ def _cycle_block(acc: _PathAccumulator, cyc: Cycle, label: str):
     if all(acc.current.school_of(i) == targets[i] for i in students):
         acc.settled.update(students)
         return
-    schools = set(cyc.schools)
     if len(students) == 1:
         # the school pointing at the student is the one she points back to
-        i = students[0]
-        s = targets[i]
-        changes = acc.join_changes({i: s})
-        acc.emit(acc.current.reassign(changes), {i}, {s}, label, f"cycle {cyc}")
-        acc.settled.add(i)
+        acc.join(targets, label, f"cycle {cyc}")
+        acc.settled.update(students)
         return
-    inbound = cyc.inbound()
-
-    def insertion() -> Matching:
-        cur = acc.current
-        changes = {i: inbound[i] for i in students}
-        for s in cyc.schools:
-            roster = cur.roster(s)
-            if not (roster & set(students)) and len(roster) == problem.quota(s):
-                worst = acc.shed_candidates(roster, s, 1)
-                changes[worst[0]] = SELF
-        return cur.reassign(changes)
-
     # insertion: everyone in the cycle takes the seat of the school pointing
     # at her; a full cycle school holding no cycle student sheds its
-    # lowest-priority occupant
-    mu1 = insertion()
-    if acc.move_valid(mu1, set(students), schools):
-        acc.emit(mu1, set(students), schools, label, f"insert {cyc}")
-    else:
-        # one school would lose several cycle students at once; let the
-        # movers give up their seats first, then take the pointed-at seats
-        acc.emit(
-            acc.current.reassign({i: SELF for i in students}),
-            set(students),
-            set(),
-            label,
-            f"clear {cyc}",
-        )
-        acc.emit(insertion(), set(students), schools, label, f"insert {cyc}")
+    # lowest-priority occupant; when one school would lose several cycle
+    # students at once, the movers give up their seats first
+    acc.join(cyc.inbound(), label, f"insert {cyc}", clear=f"clear {cyc}")
     # vacate: the cycle students free all their freshly taken seats at once
-    acc.emit(
-        acc.current.reassign({i: SELF for i in students}),
-        set(students),
-        set(),
-        label,
-        f"vacate {cyc}",
-    )
+    acc.vacate(students, label, f"vacate {cyc}")
     # rematch: everyone joins the school she points at inside the cycle
-    changes = acc.join_changes({i: targets[i] for i in students})
-    acc.emit(acc.current.reassign(changes), set(students), schools, label, f"rematch {cyc}")
+    acc.join(targets, label, f"rematch {cyc}")
     acc.settled.update(students)
 
 
 def _alignment_block(acc: _PathAccumulator, clinches, label: str):
     """Moves aligning all unrealised clinched matches of a round."""
     todo = {i: s for i, s in clinches if acc.current.school_of(i) != s}
-    if not todo:
-        acc.settled.update(i for i, _ in clinches)
-        return
-    cur = acc.current
-    mu1 = cur.reassign(acc.join_changes(todo))
-    movers = set(todo)
-    schools = set(todo.values())
-    if acc.move_valid(mu1, movers, schools):
-        acc.emit(mu1, movers, schools, label, f"clinch {sorted(todo.items())}")
-    else:
+    if todo:
         # a clincher leaving one clinch school for another can block the
         # one-move alignment; vacating the movers first restores it
-        acc.emit(
-            cur.reassign({i: SELF for i in todo}),
-            movers,
-            set(),
-            label,
-            f"clear {sorted(todo)}",
-        )
-        acc.emit(
-            acc.current.reassign(acc.join_changes(todo)),
-            movers,
-            schools,
-            label,
-            f"clinch {sorted(todo.items())}",
-        )
+        acc.join(todo, label, f"clinch {sorted(todo.items())}", clear=f"clear {sorted(todo)}")
     acc.settled.update(i for i, _ in clinches)
 
 
-def _finish(acc: _PathAccumulator, target: Matching, horizon=FARSIGHTED) -> PathCertificate:
+def _finish(acc: _PathAccumulator, target: Matching) -> PathCertificate:
     if acc.current != target:
         raise ConstructionError(
             f"replay ended at {acc.current.literal()!r} instead of the mechanism outcome"
         )
-    return acc.certificate(horizon)
+    return PathCertificate(tuple(acc.matchings), tuple(acc.steps))
+
+
+def _replay(problem: Problem, mu: Matching, runner, outcome: str, log) -> PathCertificate:
+    """Replay a trace: each step's clinch rounds, then its cycles."""
+    target, trace = runner(problem)
+    if mu == target:
+        raise IdentityError(f"matching already equals the {outcome} outcome")
+    acc = _PathAccumulator(problem, mu, target, log or ConstructionLog())
+    for step in trace.steps:
+        for rnd in step.clinch_rounds:
+            _alignment_block(acc, rnd.clinches, f"step {step.step}")
+        for cyc in step.cycles:
+            _cycle_block(acc, cyc, f"step {step.step}")
+    return _finish(acc, target)
 
 
 def build_path_to_ttc(
     problem: Problem, mu: Matching, log: ConstructionLog | None = None
 ) -> PathCertificate:
     """Improving path from mu to the top trading cycles outcome."""
-    target, trace = run_ttc(problem)
-    if mu == target:
-        raise IdentityError("matching already equals the trading outcome")
-    acc = _PathAccumulator(problem, mu, target, log or ConstructionLog())
-    for step in trace.steps:
-        for cyc in step.cycles:
-            _cycle_block(acc, cyc, f"step {step.step}")
-    return _finish(acc, target)
+    return _replay(problem, mu, run_ttc, "trading", log)
 
 
 def build_path_to_fct(
     problem: Problem, mu: Matching, log: ConstructionLog | None = None
 ) -> PathCertificate:
     """Improving path from mu to the first clinch and trade outcome."""
-    target, trace = run_fct(problem)
-    if mu == target:
-        raise IdentityError("matching already equals the clinch and trade outcome")
-    acc = _PathAccumulator(problem, mu, target, log or ConstructionLog())
-    for step in trace.steps:
-        for rnd in step.clinch_rounds:
-            _alignment_block(acc, rnd.clinches, f"step {step.step}")
-        for cyc in step.cycles:
-            _cycle_block(acc, cyc, f"step {step.step}")
-    return _finish(acc, target)
+    return _replay(problem, mu, run_fct, "clinch and trade", log)
 
 
 def build_path_to_ct(
     problem: Problem, mu: Matching, log: ConstructionLog | None = None
 ) -> PathCertificate:
     """Improving path from mu to the clinch and trade outcome."""
-    target, trace = run_ct(problem)
-    if mu == target:
-        raise IdentityError("matching already equals the clinch and trade outcome")
-    acc = _PathAccumulator(problem, mu, target, log or ConstructionLog())
-    for step in trace.steps:
-        for rnd in step.clinch_rounds:
-            _alignment_block(acc, rnd.clinches, f"step {step.step}")
-        for cyc in step.cycles:
-            _cycle_block(acc, cyc, f"step {step.step}")
-    return _finish(acc, target)
+    return _replay(problem, mu, run_ct, "clinch and trade", log)
 
 
 def build_path_to_ettc(
@@ -313,15 +228,8 @@ def build_path_to_ettc(
         todo = {i: s for i, s in pending.items() if acc.current.school_of(i) != s}
         acc.settled.update(pending)
         pending.clear()
-        if not todo:
-            return
-        acc.emit(
-            acc.current.reassign(acc.join_changes(todo)),
-            set(todo),
-            set(todo.values()),
-            label,
-            f"rematch {sorted(todo.items())}",
-        )
+        if todo:
+            acc.join(todo, label, f"rematch {sorted(todo.items())}")
 
     for step in trace.steps:
         label = f"step {step.step}"
@@ -368,38 +276,12 @@ def build_path_to_ettc(
             # seat-taking move: each cycle student occupies the first school
             # of her held seats, full schools shedding enough low-priority
             # outside occupants
-            moves = {i: first_seat[i] for i in cyc_students}
-            movers = set(cyc_students)
-            schools = set(first_seat.values())
-            mu1 = acc.current.reassign(acc.join_changes(moves))
-            if acc.move_valid(mu1, movers, schools):
-                acc.emit(mu1, movers, schools, label, f"seat {sorted(moves.items())}")
-            else:
-                acc.emit(
-                    acc.current.reassign({i: SELF for i in cyc_students}),
-                    movers,
-                    set(),
-                    label,
-                    "clear",
-                )
-                acc.emit(
-                    acc.current.reassign(acc.join_changes(moves)),
-                    movers,
-                    schools,
-                    label,
-                    f"seat {sorted(moves.items())}",
-                )
+            acc.join(first_seat, label, f"seat {sorted(first_seat.items())}", clear="clear")
             if all(acc.current.school_of(i) == finals[i] for i in cyc_students):
                 acc.settled.update(cyc_students)
                 continue
             # vacate together
-            acc.emit(
-                acc.current.reassign({i: SELF for i in cyc_students}),
-                set(cyc_students),
-                set(),
-                label,
-                "vacate",
-            )
+            acc.vacate(cyc_students, label, "vacate")
             # students holding several seats free the remaining ones: a full
             # school is entered (displacing its weakest occupant) and left
             # again, except that a student reaching her own final school
@@ -407,28 +289,14 @@ def build_path_to_ettc(
             seated = set()
             for i in cyc_students:
                 for s in held[i][1:]:
-                    roster = acc.current.roster(s)
-                    if len(roster) < problem.quota(s):
+                    if len(acc.current.roster(s)) < problem.quota(s):
                         continue
-                    worst = acc.shed_candidates(roster, s, 1)[0]
-                    acc.emit(
-                        acc.current.reassign({i: s, worst: SELF}),
-                        {i},
-                        {s},
-                        label,
-                        f"hop {i}->{s}",
-                    )
+                    acc.join({i: s}, label, f"hop {i}->{s}")
                     if s == finals[i]:
                         seated.add(i)
                         acc.settled.add(i)
                         break
-                    acc.emit(
-                        acc.current.reassign({i: SELF}),
-                        {i},
-                        set(),
-                        label,
-                        f"hop {i}<-{s}",
-                    )
+                    acc.vacate({i}, label, f"hop {i}<-{s}")
             for i in cyc_students:
                 if i not in seated:
                     pending[i] = finals[i]

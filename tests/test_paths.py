@@ -5,6 +5,7 @@ import pytest
 from schoolchoice import (
     FARSIGHTED,
     PathCertificate,
+    Problem,
     build_path_to_ct,
     build_path_to_ettc,
     build_path_to_fct,
@@ -198,3 +199,50 @@ class TestRandomInstances:
                     cert = builder(p, mu)
                     assert cert.end == target, (name, p, mu.literal())
                     assert validate_path(p, cert) is None, (name, p, mu.literal())
+
+
+def parsed(students, schools, quotas, prefs, prios):
+    return Problem(
+        tuple(students.split()),
+        tuple(schools.split()),
+        quotas,
+        {i: tuple(p.split()) for i, p in prefs.items()},
+        {s: tuple(f.split()) for s, f in prios.items()},
+    )
+
+
+class TestKnownBuilderDefects:
+    """Defects of the builders that reproduce today; a fix flips these."""
+
+    @pytest.mark.xfail(strict=True, reason="step 5: school s1 cannot admit its newcomers")
+    def test_seat_trading_certificate_validates(self):
+        p = parsed(
+            "i1 i2 i3 i4", "s1 s2 s3", {"s1": 1, "s2": 2, "s3": 2},
+            {"i1": "s3 s2 s1", "i2": "s2 s3 s1", "i3": "s1 s3 s2", "i4": "s1 s2 s3"},
+            {"s1": "i2 i3 i4 i1", "s2": "i4 i1 i2 i3", "s3": "i3 i2 i1 i4"},
+        )
+        start = matching_of(p, i1="s2", i2="s2", i3="s1", i4="s3")
+        violation = validate_path(p, build_path_to_ettc(p, start))
+        assert violation is None, str(violation)
+
+    @pytest.mark.xfail(strict=True, reason="step 0: student i2 does not weakly improve")
+    def test_trading_certificate_validates_three_ahead(self):
+        p = parsed(
+            "i1 i2 i3 i4 i5 i6 i7 i8", "s1 s2 s3", {"s1": 2, "s2": 3, "s3": 2},
+            {
+                "i1": "s3 s1 s2", "i2": "s1 s2 s3", "i3": "s2", "i4": "s2 s1",
+                "i5": "s3 s2", "i6": "s3 s2", "i7": "s2 s3 s1", "i8": "s3 s2 s1",
+            },
+            {
+                "s1": "i3 i4 i7 i6 i2 i8 i5 i1",
+                "s2": "i8 i7 i5 i3 i4 i6 i1 i2",
+                "s3": "i2 i5 i7 i1 i6 i3 i8 i4",
+            },
+        )
+        start = matching_of(
+            p, i1="s3", i2="s2", i3="s2", i4="s2", i5="self", i6="s1", i7="s3", i8="self"
+        )
+        cert = build_path_to_ttc(p, start)
+        assert validate_path(p, cert) is None
+        violation = validate_path_horizon(p, PathCertificate(cert.matchings, cert.steps, 3))
+        assert violation is None, str(violation)
