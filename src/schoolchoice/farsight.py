@@ -30,15 +30,20 @@ Two layers live here and they are deliberately not identical:
   which of the many formally enforceable moves self-interested students
   actually take, and they reproduce the worked reachability sets exactly.
 
-Every search decides a move with one integer kernel, `_EdgeOracle.edge`,
-over the matchings' assignment vectors, their per-school seat counts and
-the problem's rank tables.  What depends on the lookahead matching is read
-from per-student tables built once per lookahead matching; without them the
-same function is the structural screen of the horizon search.  The reverse
-search keeps no per-move memo, since it tests each ordered pair at most once
-per target; the horizon search memoises only the screen.  The kernel is
-plain Python: importing numpy would add 11 to 13 MB to a search process
-whose peak is about 22 MB.
+Every search decides a move with one integer rule over the matchings'
+assignment vectors, the problem's rank tables and a roster index built
+once per universe: Python-int bitsets over universe indices of the
+matchings that seat each student at each seat, and of those that give each
+school each of its rosters.  What a school does with a move depends only on
+its roster before and after; that verdict (blocked, leavers replaced, or
+leavers unreplaced) is memoised per roster pair.  What depends on the
+lookahead matching is read from per-student tables built once per lookahead
+matching.  `_EdgeOracle.edge` applies the rule to one pair; without tables
+it is the structural screen of the horizon search, whose successor lists
+come from the same verdicts as bitsets.  The reverse search applies the
+rule to whole sets: each predecessor set is an AND and OR of the index's
+masks, per-school verdict masks and per-student masks of the lookahead,
+with no per-pair call.  Everything is plain Python; no numpy.
 """
 from __future__ import annotations
 
@@ -128,16 +133,45 @@ class StableSetReport:
 # Moves
 # --------------------------------------------------------------------------
 
-def _replaces(prio: Sequence[int], joiners: Sequence[int], leavers: Sequence[int]) -> bool:
-    """Each leaver matched to a distinct higher-priority joiner (greedy).
+def _bitset(indices: Sequence[int]) -> int:
+    """The bitset whose set bits are the given ascending indices."""
+    if not indices:
+        return 0
+    buf = bytearray(indices[-1] // 8 + 1)
+    for x in indices:
+        buf[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(buf, "little")
 
-    prio is one school's priority-rank row, indexed by student; lower ranks
-    come first.
+
+def _members(mask: int) -> list[int]:
+    """The indices of the set bits of mask, ascending."""
+    return [k for k, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+#: A school's verdict on one move, from its roster before and after.
+BLOCKED, REPLACED, UNREPLACED = 0, 1, 2
+
+
+def _school_verdict(
+    quota: int, prio: Sequence[int], held: int, joiners: Sequence[int], leavers: Sequence[int]
+) -> int:
+    """How a school holding `held` students takes a move: joiners arrive,
+    leavers go (student indices).
+
+    UNREPLACED when the old roster plus the newcomers fit the quota: anyone
+    who leaves gives up her seat unreplaced.  Otherwise REPLACED when each
+    leaver is matched (greedily) to a distinct newcomer of higher priority,
+    and BLOCKED when not.  prio is the school's priority-rank row, indexed
+    by student; lower ranks come first.
     """
+    if held + len(joiners) <= quota:
+        return UNREPLACED
     if len(leavers) > len(joiners):
-        return False
+        return BLOCKED
     joined = sorted(prio[i] for i in joiners)
-    return all(j < q for j, q in zip(joined, sorted(prio[i] for i in leavers)))
+    if all(j < q for j, q in zip(joined, sorted(prio[i] for i in leavers))):
+        return REPLACED
+    return BLOCKED
 
 
 def school_move_admissible(problem: Problem, s: str, a: Matching, b: Matching) -> bool:
@@ -148,12 +182,17 @@ def school_move_admissible(problem: Problem, s: str, a: Matching, b: Matching) -
     newcomer with higher priority.
     """
     c = problem._cidx[s]
-    pairs = list(enumerate(zip(a._assign, b._assign)))
-    joiners = [i for i, (xa, xb) in pairs if xb == c != xa]
-    if a._assign.count(c) + len(joiners) <= problem._quota_vec[c]:
-        return True
-    leavers = [i for i, (xa, xb) in pairs if xa == c != xb]
-    return _replaces(problem._prio_rank[c], joiners, leavers)
+    joiners, leavers = [], []
+    for i, (xa, xb) in enumerate(zip(a._assign, b._assign)):
+        if xa != xb:
+            if xb == c:
+                joiners.append(i)
+            elif xa == c:
+                leavers.append(i)
+    verdict = _school_verdict(
+        problem._quota_vec[c], problem._prio_rank[c], a._assign.count(c), joiners, leavers
+    )
+    return verdict != BLOCKED
 
 
 def can_enforce(
@@ -187,23 +226,84 @@ class _EdgeOracle:
     """The search's edge rule over one universe of matchings, on integers.
 
     A matching is its assignment vector (a school index per student, m for
-    SELF) plus its per-school seat counts.  For a fixed lookahead matching
-    the validity of a move depends only on its endpoints, so reachability
-    equals plain graph reachability and any walk can be shortened to a
-    sequence of distinct matchings.
+    SELF) plus, per school, the id of its roster.  For a fixed lookahead
+    matching the validity of a move depends only on its endpoints, so
+    reachability equals plain graph reachability and any walk can be
+    shortened to a sequence of distinct matchings.
+
+    A set of matchings is a Python-int bitset over universe indices.  The
+    roster index, built once, holds the matchings that seat student i at
+    seat c (`seat[i][c]`, c = m for SELF) and those that give school s its
+    roster r (`roster_masks[s][r]`).
     """
 
     def __init__(self, problem: Problem, universe: Sequence[Matching]):
         self.index = {mu: k for k, mu in enumerate(universe)}
         self.m = m = len(problem.schools)
         self.vecs = [mu._assign for mu in universe]
-        self.counts = [[v.count(c) for c in range(m)] for v in self.vecs]
         self.students = range(len(problem.students))
         self.rank = problem._pref_rank
         self.prio = problem._prio_rank
         self.quota = problem._quota_vec
+        self.all = (1 << len(self.vecs)) - 1
+        bit = [1 << i for i in self.students]
+        held = []  # per matching, per seat, the students there as a bitset
+        for vec in self.vecs:
+            row = [0] * (m + 1)
+            for i, c in enumerate(vec):
+                row[c] |= bit[i]
+            held.append(row)
+        self.rosters = []  # per school and roster id, its students
+        self.roster_masks = []  # per school and roster id, the matchings with it
+        ids = []  # per school, per matching, its roster id
+        self.seat = [[0] * (m + 1) for _ in self.students]
+        for s, col in enumerate(list(zip(*held))[:m]):
+            found = {r: k for k, r in enumerate(dict.fromkeys(col))}
+            ids.append(list(map(found.__getitem__, col)))
+            members = [[] for _ in found]
+            for x, k in enumerate(ids[-1]):
+                members[k].append(x)
+            masks = [_bitset(xs) for xs in members]
+            self.rosters.append([frozenset(_members(r)) for r in found])
+            self.roster_masks.append(masks)
+            for roster, mask in zip(self.rosters[s], masks):
+                for i in roster:
+                    self.seat[i][s] |= mask
+        for row in self.seat:
+            row[m] = self.all
+            for s in range(m):
+                row[m] &= ~row[s]
+        self.rid = list(zip(*ids)) if m else [()] * len(self.vecs)
+        self._verdicts: dict = {}
+        self._groups: dict = {}
         self._looks: dict = {}
         self._succ: dict = {}
+
+    def verdict(self, s: int, before: int, after: int) -> int:
+        """`_school_verdict` of school s between two roster ids, memoised."""
+        key = (s, before, after)
+        got = self._verdicts.get(key)
+        if got is None:
+            held, ends = self.rosters[s][before], self.rosters[s][after]
+            got = self._verdicts[key] = _school_verdict(
+                self.quota[s], self.prio[s], len(held), ends - held, held - ends
+            )
+        return got
+
+    def groups(self, s: int, r: int, into: bool) -> list[int]:
+        """Per verdict, the matchings x whose move at school s gets it.
+
+        With into, x holds the roster before a move into roster r; without,
+        x holds the roster after a move out of roster r.  Memoised: two
+        lists of three bitsets per roster, so bounded by the index.
+        """
+        key = (s, r, into)
+        got = self._groups.get(key)
+        if got is None:
+            got = self._groups[key] = [0, 0, 0]
+            for other, mask in enumerate(self.roster_masks[s]):
+                got[self.verdict(s, other, r) if into else self.verdict(s, r, other)] |= mask
+        return got
 
     def look(self, t: int):
         """Per-student tables for lookahead matching t, built once.
@@ -231,16 +331,34 @@ class _EdgeOracle:
             got = self._looks[t] = (better, anchored)
         return got
 
+    def student_masks(self, t: int):
+        """`look(t)` as bitsets: per student, the matchings whose seat for
+        her she ranks weakly, and strictly, below her seat in t; plus the
+        anchored table.  Built per reverse search and not kept.
+        """
+        better, anchored = self.look(t)
+        weak, strict = [], []
+        for row, seats in zip(better, self.seat):
+            weakly = strictly = 0
+            for gain, mask in zip(row, seats):
+                if gain >= 0:
+                    weakly |= mask
+                    if gain:
+                        strictly |= mask
+            weak.append(weakly)
+            strict.append(strictly)
+        return anchored, weak, strict
+
     def edge(self, xa: int, xb: int, look=None):
         """The coalition that moves xa -> xb given lookahead tables, or None.
 
         Every joiner must weakly prefer the lookahead to her current seat
-        and claim an anchored seat; a school pushed past its quota must
-        replace each leaver with a distinct higher-priority joiner; every
-        leaver not so replaced must strictly prefer the lookahead; and
-        someone must strictly prefer it.  Without tables only the structural
-        part is checked: someone moves and every replacement holds.  The
-        coalition is a list of student indices and a set of school indices.
+        and claim an anchored seat; no school may block the move (see
+        `_school_verdict`); every leaver her school does not replace must
+        strictly prefer the lookahead; and someone must strictly prefer it.
+        Without tables only the structural part is checked: someone moves
+        and no school blocks.  The coalition is a list of student indices
+        and a set of school indices.
         """
         m = self.m
         if look is not None:
@@ -263,17 +381,15 @@ class _EdgeOracle:
                 left.append((ca, i))
         if not joined and not left:
             return None
-        count = self.counts[xa]
+        ra, rb = self.rid[xa], self.rid[xb]
         gaining = {s for s, _ in joined}
-        replaced = set()
         for s in gaining:
-            new = [i for c, i in joined if c == s]
-            if count[s] + len(new) > self.quota[s]:
-                gone = [i for c, i in left if c == s]
-                if not _replaces(self.prio[s], new, gone):
-                    return None
-                replaced.update(gone)
-        unreplaced = [(c, i) for c, i in left if i not in replaced]
+            if self.verdict(s, ra[s], rb[s]) == BLOCKED:
+                return None
+        unreplaced = [
+            (c, i) for c, i in left
+            if c not in gaining or self.verdict(c, ra[c], rb[c]) == UNREPLACED
+        ]
         if look is not None:
             for c, i in unreplaced:
                 if better[i][c] <= 0:
@@ -282,32 +398,63 @@ class _EdgeOracle:
                 return None
         return [i for _, i in joined] + [i for _, i in unreplaced], gaining
 
+    def predecessors(self, y: int, masks, within: int) -> int:
+        """The matchings in `within` with an edge into y, as one bitset.
+
+        masks are `student_masks` of the lookahead.  The same rule as
+        `edge`, applied to every source at once by AND and OR of masks.
+        """
+        anchored, weak, strict = masks
+        m, ry = self.m, self.rid[y]
+        got = within
+        unreplaced = []
+        for s in range(m):
+            by = self.groups(s, ry[s], True)
+            got &= ~by[BLOCKED]
+            unreplaced.append(by[UNREPLACED])
+        improver = 0  # someone strictly prefers the lookahead
+        for i, d in enumerate(self.vecs[y]):
+            if not got:
+                return 0
+            seats = self.seat[i]
+            stay = seats[d]
+            if d != m:  # joiners weakly improve and claim an anchored seat
+                got &= stay | weak[i] if anchored[i][d] else stay
+                improver |= strict[i] & ~stay
+            gone = 0  # i leaves a seat unreplaced, so must strictly improve
+            for c in range(m):
+                if c != d:
+                    gone |= seats[c] & unreplaced[c]
+            if gone:
+                got &= ~gone | strict[i]
+                improver |= gone
+        return got & improver
+
     def successors(self, x: int) -> list[int]:
         """Matchings that pass the structural screen from x, memoised."""
         got = self._succ.get(x)
         if got is None:
-            got = self._succ[x] = [
-                y for y in range(len(self.vecs)) if y != x and self.edge(x, y)
-            ]
+            ok = self.all & ~(1 << x)
+            for s, r in enumerate(self.rid[x]):
+                ok &= ~self.groups(s, r, False)[BLOCKED]
+            got = self._succ[x] = _members(ok)
         return got
 
-    def sources_reaching(self, target_idx: int) -> set[int]:
-        """All universe indices from which the target is reachable."""
-        look = self.look(target_idx)
-        rest = [x for x in range(len(self.vecs)) if x != target_idx]
-        frontier = [target_idx]
-        reached: set[int] = set()
+    def sources_reaching(self, target_idx: int) -> int:
+        """The bitset of universe indices from which the target is reachable."""
+        masks = self.student_masks(target_idx)
+        rest = self.all & ~(1 << target_idx)
+        frontier = 1 << target_idx
+        reached = 0
         while frontier and rest:
-            nxt = []
-            for y in frontier:
-                keep = []
-                for x in rest:
-                    if self.edge(x, y, look):
-                        nxt.append(x)
-                    else:
-                        keep.append(x)
-                rest = keep
-            reached.update(nxt)
+            nxt = 0
+            for y in _members(frontier):
+                found = self.predecessors(y, masks, rest)
+                nxt |= found
+                rest &= ~found
+                if not rest:
+                    break
+            reached |= nxt
             frontier = nxt
         return reached
 
@@ -436,31 +583,30 @@ def phi(
     if mu not in oracle.index:
         raise ValueError("matching not in the enumerated universe")
     src = oracle.index[mu]
-    out = set()
-    for t, target in enumerate(uni):
-        if t == src:
-            continue
-        if src in oracle.sources_reaching(t):
-            out.add(target)
-    return out
+    return {
+        target for t, target in enumerate(uni)
+        if t != src and oracle.sources_reaching(t) >> src & 1
+    }
+
+
+def _columns(problem: Problem, uni: list[Matching]) -> list[int]:
+    """Per target t, the bitset of the matchings whose phi contains t."""
+    oracle = _EdgeOracle(problem, uni)
+    return [oracle.sources_reaching(t) for t in range(len(uni))]
 
 
 def reachability_matrix(
     problem: Problem,
     universe: Sequence[Matching] | None = None,
     cap: int = DEFAULT_SEARCH_CAP,
-):
-    """numpy bool matrix R with R[x, t] true iff target t is in phi(x)."""
-    import numpy as np
-
+) -> tuple[list[int], list[Matching]]:
+    """Rows R as int bitsets, R[x] >> t & 1 iff target t is in phi(x); and U."""
     uni = _universe(problem, universe, cap)
-    oracle = _EdgeOracle(problem, uni)
-    n = len(uni)
-    R = np.zeros((n, n), dtype=bool)
-    for t in range(n):
-        for x in oracle.sources_reaching(t):
-            R[x, t] = True
-    return R, uni
+    rows: list[list[int]] = [[] for _ in uni]
+    for t, col in enumerate(_columns(problem, uni)):
+        for x in _members(col):
+            rows[x].append(t)
+    return [_bitset(row) for row in rows], uni
 
 
 # --------------------------------------------------------------------------
@@ -602,13 +748,12 @@ def check_stable_set(
     if horizon == FARSIGHTED:
         reach_to = [oracle.sources_reaching(t) for t in idx]
         internal = [
-            (a, b) for a in idx for j, b in enumerate(idx) if a != b and a in reach_to[j]
+            (a, b) for a in idx for j, b in enumerate(idx) if a != b and reach_to[j] >> a & 1
         ]
-        inside = set(idx)
-        external = [
-            x for x in range(len(uni))
-            if x not in inside and not any(x in r for r in reach_to)
-        ]
+        covered = 0
+        for t, r in zip(idx, reach_to):
+            covered |= r | 1 << t
+        external = _members(oracle.all & ~covered)
         unknown = False
     else:
         runs = _horizon_runs(oracle, int(horizon), depth_cap)
@@ -640,7 +785,7 @@ def find_singleton_stable_sets(
     if horizon == FARSIGHTED:
         out = [
             mu for t, mu in enumerate(uni)
-            if len(oracle.sources_reaching(t)) == len(uni) - 1
+            if oracle.sources_reaching(t).bit_count() == len(uni) - 1
         ]
     else:
         runs = _horizon_runs(oracle, int(horizon), None)
@@ -663,7 +808,6 @@ def find_stable_sets(
     Internal stability prunes the subset lattice: any pair connected by an
     improving path rules out every superset containing both.
     """
-    import numpy as np
     from itertools import combinations
     from math import comb
 
@@ -674,25 +818,20 @@ def find_stable_sets(
         raise CapacityError(
             f"{total} candidate subsets exceed the cap of {subset_cap}"
         )
-    R, _ = reachability_matrix(problem, universe=uni)
+    cols = _columns(problem, uni)
+    everyone = (1 << n) - 1
     order = sorted(range(n), key=lambda x: uni[x].literal())
-    compatible = {
-        (x, y)
-        for x in range(n)
-        for y in range(n)
-        if x != y and not R[x, y] and not R[y, x]
-    }
     results = []
     for size in range(1, max_size + 1):
         for combo in combinations(order, size):
             if any(
-                (a, b) not in compatible
+                cols[b] >> a & 1 or cols[a] >> b & 1
                 for a, b in combinations(combo, 2)
             ):
                 continue
-            inside = np.zeros(n, dtype=bool)
-            inside[list(combo)] = True
-            covered = R[:, list(combo)].any(axis=1) | inside
-            if covered.all():
+            covered = 0
+            for c in combo:
+                covered |= cols[c] | 1 << c
+            if covered == everyone:
                 results.append([uni[x] for x in combo])
     return results

@@ -8,7 +8,9 @@ enough to replay or audit a run.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import count
 
 from .model import SELF, Matching, Problem
 
@@ -214,19 +216,22 @@ def run_ttc(problem: Problem) -> tuple[Matching, MechanismTrace]:
 
 def run_da(problem: Problem) -> Matching:
     next_choice = {i: 0 for i in problem.students}
+    # per school, a heap of (-priority rank, -arrival, student): its root is
+    # the holder rejected first, the latest arrival among tied ranks
     held: dict = {s: [] for s in problem.schools}
-    free = list(problem.students)
+    free = deque(problem.students)
+    arrivals = count()
     while free:
-        i = free.pop(0)
+        i = free.popleft()
         prefs = problem.preferences[i]
         while next_choice[i] < len(prefs):
             s = prefs[next_choice[i]]
             holders = held[s]
-            holders.append(i)
-            holders.sort(key=lambda j: problem.priority_rank(s, j))
-            if len(holders) <= problem.quota(s):
+            entry = (-problem.priority_rank(s, i), -next(arrivals), i)
+            if len(holders) < problem.quota(s):
+                heapq.heappush(holders, entry)
                 break
-            rejected = holders.pop()
+            rejected = heapq.heappushpop(holders, entry)[2]
             if rejected == i:
                 next_choice[i] += 1
                 continue
@@ -236,7 +241,7 @@ def run_da(problem: Problem) -> Matching:
         # student with exhausted list stays unmatched
     assignment = {i: SELF for i in problem.students}
     for s, holders in held.items():
-        for i in holders:
+        for _, _, i in holders:
             assignment[i] = s
     return problem.matching(assignment)
 
@@ -265,9 +270,8 @@ def run_ia(problem: Problem) -> Matching:
             capacity[s] -= len(admitted)
             for i in admitted:
                 assignment[i] = s
-        unassigned = [
-            i for i in unassigned if assignment[i] is SELF and i not in set(exhausted)
-        ]
+        exhausted = set(exhausted)
+        unassigned = [i for i in unassigned if assignment[i] is SELF and i not in exhausted]
         round_no += 1
     return problem.matching(assignment)
 

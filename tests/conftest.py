@@ -110,7 +110,8 @@ def trading_universe(trading_instance):
 
 @pytest.fixture(scope="session")
 def trading_reachability(trading_instance, trading_universe):
-    """Full reachability map of the trading instance, computed once."""
+    """Full reachability map of the trading instance, computed once: rows
+    as int bitsets, R[x] >> t & 1 iff t is in phi(x); and the index map."""
     R, _ = reachability_matrix(trading_instance, universe=trading_universe)
     index = {mu: k for k, mu in enumerate(trading_universe)}
     return R, index

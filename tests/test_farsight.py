@@ -180,7 +180,7 @@ class TestPhi:
         R, index = trading_reachability
         da = index[trading_goldens["da"]]
         for key in ("detour1", "detour2", "detour3", "detour4", "detour5"):
-            assert R[index[trading_goldens[key]], da]
+            assert R[index[trading_goldens[key]]] >> da & 1
 
     def test_relabeling_invariance(self, trading_instance, trading_goldens):
         p = trading_instance
@@ -374,7 +374,11 @@ class TestStableSets:
 # re-deriving every move condition from scratch.
 # ---------------------------------------------------------------------------
 
-def oracle_edge(problem, a, b, ref):
+def oracle_edge(problem, a, b, ref, replacement=True, departure=True):
+    """The search's edge rule from scratch.  replacement=False drops the
+    replacement rule at schools pushed past their quota, so that their
+    leavers count as unreplaced; departure=False lets an unreplaced leaver
+    go without a strict gain."""
     if a == b:
         return False
     joiners, gains, losses = [], {}, {}
@@ -390,7 +394,7 @@ def oracle_edge(problem, a, b, ref):
     replaced = set()
     for s, incoming in gains.items():
         old = a.roster(s)
-        if len(old) + len(incoming) > problem.quota(s):
+        if replacement and len(old) + len(incoming) > problem.quota(s):
             left = sorted(losses.get(s, []), key=lambda j: problem.priority_rank(s, j))
             come = sorted(incoming, key=lambda j: problem.priority_rank(s, j))
             if len(left) > len(come):
@@ -421,9 +425,10 @@ def oracle_edge(problem, a, b, ref):
                 continue
             ra = problem.pref_rank(i, ref.school_of(i))
             rc = problem.pref_rank(i, a.school_of(i))
-            if ra >= rc:
+            if ra < rc:
+                strict = True
+            elif departure:
                 return False
-            strict = True
     return strict
 
 
@@ -468,26 +473,32 @@ class TestReachabilityOracle:
         assert oracle_edge(trading_instance, start, nxt, trading_goldens["ttc"])
 
 
+def kernel_instances():
+    """30 seeded instances of 4-5 students, two schools and at most 40
+    matchings, each with three lookahead indices."""
+    rng = random.Random(404)
+    instances = 0
+    while instances < 30:
+        n = rng.randint(4, 5)
+        students = tuple(f"i{k}" for k in range(1, n + 1))
+        schools = ("s1", "s2")
+        quotas = {"s1": rng.randint(1, 2), "s2": 1}
+        prefs = {i: tuple(rng.sample(schools, rng.randint(1, 2))) for i in students}
+        prios = {s: tuple(rng.sample(students, n)) for s in schools}
+        p = Problem(students, schools, quotas, prefs, prios)
+        universe = enumerate_matchings(p)
+        if len(universe) > 40:
+            continue
+        instances += 1
+        yield p, universe, rng.sample(range(len(universe)), 3)
+
+
 class TestEdgeKernel:
     def test_matches_independent_oracle_edge(self):
-        rng = random.Random(404)
-        instances = 0
         replacement = {True: 0, False: 0}  # over-capacity moves by injection outcome
         replaced_edges = 0
-        while instances < 30:
-            n = rng.randint(4, 5)
-            students = tuple(f"i{k}" for k in range(1, n + 1))
-            schools = ("s1", "s2")
-            quotas = {"s1": rng.randint(1, 2), "s2": 1}
-            prefs = {i: tuple(rng.sample(schools, rng.randint(1, 2))) for i in students}
-            prios = {s: tuple(rng.sample(students, n)) for s in schools}
-            p = Problem(students, schools, quotas, prefs, prios)
-            universe = enumerate_matchings(p)
-            if len(universe) > 40:
-                continue
-            instances += 1
+        for p, universe, refs in kernel_instances():
             oracle = _EdgeOracle(p, universe)
-            refs = rng.sample(range(len(universe)), 3)
             for x, a in enumerate(universe):
                 for y, b in enumerate(universe):
                     over = [
@@ -504,17 +515,54 @@ class TestEdgeKernel:
         assert replacement[True] and replacement[False]
         assert replaced_edges
 
+    def test_bitset_sets_match_edge(self):
+        # pairs the bitsets drop that would pass without the replacement
+        # rule (a blocked school) or the departure rule (a reluctant leaver)
+        removed = {"replacement": 0, "departure": 0}
+        for p, universe, refs in kernel_instances():
+            oracle = _EdgeOracle(p, universe)
+            n = len(universe)
+            for x in range(n):
+                assert oracle.successors(x) == [y for y in range(n) if oracle.edge(x, y)]
+            for t in refs:
+                look, masks = oracle.look(t), oracle.student_masks(t)
+                for y, b in enumerate(universe):
+                    got = oracle.predecessors(y, masks, oracle.all)
+                    edges = [x for x in range(n) if oracle.edge(x, y, look) is not None]
+                    assert got == sum(1 << x for x in edges), (y, t)
+                    for x, a in enumerate(universe):
+                        if not got >> x & 1:
+                            for rule in removed:
+                                removed[rule] += oracle_edge(
+                                    p, a, b, universe[t], **{rule: False}
+                                )
+        assert removed["replacement"] and removed["departure"]
+
+    def test_reverse_search_makes_no_edge_call(
+        self, trading_instance, trading_goldens, trading_universe, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("edge called")
+
+        monkeypatch.setattr(_EdgeOracle, "edge", refuse)
+        da = trading_goldens["da"]
+        assert phi(trading_instance, da, universe=trading_universe) == {trading_goldens["ttc"]}
+        report = check_stable_set(trading_instance, [da], universe=trading_universe)
+        assert report.verdict == "unstable"
+
     def test_search_leaves_numpy_unimported(self):
         script = (
             "import sys\n"
-            "from schoolchoice import check_stable_set, enumerate_matchings, phi_horizon, run_ttc\n"
-            "from schoolchoice import Problem\n"
+            "from schoolchoice import Problem, check_stable_set, find_stable_sets, phi_horizon\n"
+            "from schoolchoice import reachability_matrix, run_ttc\n"
             "p = Problem(('i1', 'i2'), ('s1',), {'s1': 1}, {'i1': ('s1',), 'i2': ('s1',)},\n"
             "            {'s1': ('i2', 'i1')})\n"
             "mu, _ = run_ttc(p)\n"
             "check_stable_set(p, [mu])\n"
             "check_stable_set(p, [mu], horizon=2)\n"
             "phi_horizon(p, p.empty_matching(), 2)\n"
+            "reachability_matrix(p)\n"
+            "find_stable_sets(p)\n"
             "print('numpy' in sys.modules)\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"
