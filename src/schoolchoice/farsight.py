@@ -31,19 +31,29 @@ Two layers live here and they are deliberately not identical:
   actually take, and they reproduce the worked reachability sets exactly.
 
 Every search decides a move with one integer rule over the matchings'
-assignment vectors, the problem's rank tables and a roster index built
-once per universe: Python-int bitsets over universe indices of the
-matchings that seat each student at each seat, and of those that give each
-school each of its rosters.  What a school does with a move depends only on
-its roster before and after; that verdict (blocked, leavers replaced, or
-leavers unreplaced) is memoised per roster pair.  What depends on the
-lookahead matching is read from per-student tables built once per lookahead
-matching.  `_EdgeOracle.edge` applies the rule to one pair; without tables
-it is the structural screen of the horizon search, whose successor lists
-come from the same verdicts as bitsets.  The reverse search applies the
-rule to whole sets: each predecessor set is an AND and OR of the index's
-masks, per-school verdict masks and per-student masks of the lookahead,
-with no per-pair call.  Everything is plain Python; no numpy.
+assignment vectors, the problem's rank tables and tables built once per
+universe, all Python-int bitsets over universe indices: a roster index
+(the matchings that seat each student at each seat, and those that give
+each school each of its rosters) and lookahead tables (the matchings that
+seat each student strictly, and weakly, above each seat, and those that
+anchor her claim at each school).  What a school does with a move depends
+only on its roster before and after; that verdict (blocked, leavers
+replaced, or leavers unreplaced) is memoised per roster pair.
+
+`_EdgeOracle.edge` is the structural screen of one pair: someone moves and
+no school blocks.  What a move owes the lookahead is read from the
+lookahead tables along either axis.  `looks(a, b)` is the bitset of
+lookaheads under which a -> b holds; `predecessors` is, for one lookahead,
+the bitset of sources with a move into a matching.  The reverse search
+behind full lookahead takes each frontier matching's predecessor set at
+once.  The horizon-k depth-first search keeps one `looks` mask per move on
+its path: a node's extensions are its successors off the path under the
+mask of the move whose window closes, an endpoint is certified by the AND
+of the masks whose windows are still open, and the children at the depth
+cap are certified together by one AND with the node's `direct` set (its
+moves that hold under their own target).  A horizon stable-set check stops
+each run from outside the candidate set at its first certified candidate.
+No search calls `edge` per pair.  Everything is plain Python; no numpy.
 """
 from __future__ import annotations
 
@@ -148,6 +158,20 @@ def _members(mask: int) -> list[int]:
     return [k for k, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
+def _prefix_or(keys: Sequence[int], masks: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Per item, the OR of the masks of the items with a smaller key, and of
+    those with a smaller or equal key (its own included): one pass in key
+    order."""
+    upto: dict = {}
+    for key, mask in zip(keys, masks):
+        upto[key] = upto.get(key, 0) | mask
+    below, acc = {}, 0
+    for key in sorted(upto):
+        below[key] = acc
+        acc = upto[key] = acc | upto[key]
+    return [below[k] for k in keys], [upto[k] for k in keys]
+
+
 #: A school's verdict on one move, from its roster before and after.
 BLOCKED, REPLACED, UNREPLACED = 0, 1, 2
 
@@ -234,7 +258,12 @@ class _EdgeOracle:
     A set of matchings is a Python-int bitset over universe indices.  The
     roster index, built once, holds the matchings that seat student i at
     seat c (`seat[i][c]`, c = m for SELF) and those that give school s its
-    roster r (`roster_masks[s][r]`).
+    roster r (`roster_masks[s][r]`).  The lookahead tables, built in the
+    same pass, hold the matchings that seat i strictly above seat c
+    (`above[i][c]`) and weakly above it (`atleast[i][c]`), and those that
+    anchor i's claim at school s (`anchor[s][i]`: they seat her there, or
+    seat someone there whom she outranks).  Every table is read along
+    whichever axis a search needs: as sources of a move or as lookaheads.
     """
 
     def __init__(self, problem: Problem, universe: Sequence[Matching]):
@@ -242,7 +271,6 @@ class _EdgeOracle:
         self.m = m = len(problem.schools)
         self.vecs = [mu._assign for mu in universe]
         self.students = range(len(problem.students))
-        self.rank = problem._pref_rank
         self.prio = problem._prio_rank
         self.quota = problem._quota_vec
         self.all = (1 << len(self.vecs)) - 1
@@ -269,15 +297,24 @@ class _EdgeOracle:
             for roster, mask in zip(self.rosters[s], masks):
                 for i in roster:
                     self.seat[i][s] |= mask
-        for row in self.seat:
+        self.above, self.atleast = [], []
+        for row, rank in zip(self.seat, problem._pref_rank):
             row[m] = self.all
             for s in range(m):
                 row[m] &= ~row[s]
+            above, atleast = _prefix_or(rank, row)
+            self.above.append(above)
+            self.atleast.append(atleast)
+        self.anchor = []
+        for s, prio in enumerate(self.prio):
+            col = [row[s] for row in self.seat]
+            below, _ = _prefix_or([-r for r in prio], col)  # outranked students first
+            self.anchor.append([c | b for c, b in zip(col, below)])
         self.rid = list(zip(*ids)) if m else [()] * len(self.vecs)
         self._verdicts: dict = {}
         self._groups: dict = {}
-        self._looks: dict = {}
         self._succ: dict = {}
+        self._direct: list[int] | None = None
 
     def verdict(self, s: int, before: int, after: int) -> int:
         """`_school_verdict` of school s between two roster ids, memoised."""
@@ -301,84 +338,45 @@ class _EdgeOracle:
         got = self._groups.get(key)
         if got is None:
             got = self._groups[key] = [0, 0, 0]
-            for other, mask in enumerate(self.roster_masks[s]):
-                got[self.verdict(s, other, r) if into else self.verdict(s, r, other)] |= mask
-        return got
-
-    def look(self, t: int):
-        """Per-student tables for lookahead matching t, built once.
-
-        better[i][c] is 1, 0 or -1 as student i ranks her seat in t above,
-        level with or below seat c (a school index, or m for SELF).
-        anchored[i][c] says whether she may claim a seat at school c
-        mid-path: t seats her there, or seats someone there she outranks.
-        """
-        got = self._looks.get(t)
-        if got is None:
-            ref, m, prio = self.vecs[t], self.m, self.prio
-            worst = [-1] * m  # per school, the largest priority rank in t
-            for i, c in enumerate(ref):
-                if c < m and prio[c][i] > worst[c]:
-                    worst[c] = prio[c][i]
-            better, anchored = [], []
-            for i, c in enumerate(ref):
-                row = self.rank[i]
-                r = row[c]
-                better.append(tuple((q > r) - (q < r) for q in row))
-                anchored.append(
-                    tuple(c == s or prio[s][i] < worst[s] for s in range(m))
-                )
-            got = self._looks[t] = (better, anchored)
+            quota, prio, rosters = self.quota[s], self.prio[s], self.rosters[s]
+            for other, mask in zip(rosters, self.roster_masks[s]):
+                held, ends = (other, rosters[r]) if into else (rosters[r], other)
+                got[_school_verdict(quota, prio, len(held), ends - held, held - ends)] |= mask
         return got
 
     def student_masks(self, t: int):
-        """`look(t)` as bitsets: per student, the matchings whose seat for
-        her she ranks weakly, and strictly, below her seat in t; plus the
-        anchored table.  Built per reverse search and not kept.
+        """The lookahead tables read for lookahead matching t: per student,
+        whether t anchors her claim at each school, and the matchings whose
+        seat for her she ranks weakly, and strictly, below her seat in t.
+        Built per reverse search and not kept.
         """
-        better, anchored = self.look(t)
-        weak, strict = [], []
-        for row, seats in zip(better, self.seat):
-            weakly = strictly = 0
-            for gain, mask in zip(row, seats):
-                if gain >= 0:
-                    weakly |= mask
-                    if gain:
-                        strictly |= mask
-            weak.append(weakly)
-            strict.append(strictly)
-        return anchored, weak, strict
+        anchored = [[col[i] >> t & 1 for col in self.anchor] for i in self.students]
+        return (anchored, *self._gains(t))
 
-    def edge(self, xa: int, xb: int, look=None):
-        """The coalition that moves xa -> xb given lookahead tables, or None.
+    def _gains(self, t: int) -> tuple[list[int], list[int]]:
+        """The weak and strict source masks of `student_masks`."""
+        ref = self.vecs[t]
+        weak = [self.all & ~row[d] for row, d in zip(self.above, ref)]
+        strict = [self.all & ~row[d] for row, d in zip(self.atleast, ref)]
+        return weak, strict
 
-        Every joiner must weakly prefer the lookahead to her current seat
-        and claim an anchored seat; no school may block the move (see
-        `_school_verdict`); every leaver her school does not replace must
-        strictly prefer the lookahead; and someone must strictly prefer it.
-        Without tables only the structural part is checked: someone moves
-        and no school blocks.  The coalition is a list of student indices
-        and a set of school indices.
+    def edge(self, xa: int, xb: int):
+        """The coalition that moves xa -> xb, or None: the structural screen.
+
+        Someone must move and no school may block the move (see
+        `_school_verdict`); `looks` says under which lookaheads it holds.
+        The coalition is a list of student indices (joiners, then leavers
+        whose school does not replace them) and a set of school indices.
         """
         m = self.m
-        if look is not None:
-            better, anchored = look
         joined = []  # (school, student)
         left = []
-        strict = False
         for i, ca, cb in zip(self.students, self.vecs[xa], self.vecs[xb]):
-            if ca == cb:
-                continue
-            if cb != m:
-                if look is not None:
-                    gain = better[i][ca]
-                    if gain < 0 or not anchored[i][cb]:
-                        return None
-                    if gain:
-                        strict = True
-                joined.append((cb, i))
-            if ca != m:
-                left.append((ca, i))
+            if ca != cb:
+                if cb != m:
+                    joined.append((cb, i))
+                if ca != m:
+                    left.append((ca, i))
         if not joined and not left:
             return None
         ra, rb = self.rid[xa], self.rid[xb]
@@ -387,22 +385,41 @@ class _EdgeOracle:
             if self.verdict(s, ra[s], rb[s]) == BLOCKED:
                 return None
         unreplaced = [
-            (c, i) for c, i in left
+            i for c, i in left
             if c not in gaining or self.verdict(c, ra[c], rb[c]) == UNREPLACED
         ]
-        if look is not None:
-            for c, i in unreplaced:
-                if better[i][c] <= 0:
-                    return None
-            if not (strict or unreplaced):
-                return None
-        return [i for _, i in joined] + [i for _, i in unreplaced], gaining
+        return [i for _, i in joined] + unreplaced, gaining
+
+    def looks(self, a: int, b: int) -> int:
+        """The lookahead matchings under which the move a -> b holds, as one
+        bitset.
+
+        Every joiner must weakly prefer the lookahead to her current seat
+        and claim an anchored seat; every leaver her school does not replace
+        must strictly prefer it; and someone must strictly prefer it.  The
+        same rule as `predecessors`, read along the lookahead axis; 0 when
+        the move fails the structural screen.
+        """
+        if not self.succ_mask(a) >> b & 1:
+            return 0
+        m, ra, rb = self.m, self.rid[a], self.rid[b]
+        got, strict, unreplaced = self.all, 0, False
+        for i, ca, cb in zip(self.students, self.vecs[a], self.vecs[b]):
+            if ca == cb:
+                continue
+            if cb != m:
+                got &= self.atleast[i][ca] & self.anchor[cb][i]
+                strict |= self.above[i][ca]
+            if ca != m and self.verdict(ca, ra[ca], rb[ca]) == UNREPLACED:
+                got &= self.above[i][ca]
+                unreplaced = True
+        return got if unreplaced else got & strict
 
     def predecessors(self, y: int, masks, within: int) -> int:
         """The matchings in `within` with an edge into y, as one bitset.
 
         masks are `student_masks` of the lookahead.  The same rule as
-        `edge`, applied to every source at once by AND and OR of masks.
+        `looks`, applied to every source at once by AND and OR of masks.
         """
         anchored, weak, strict = masks
         m, ry = self.m, self.rid[y]
@@ -430,15 +447,35 @@ class _EdgeOracle:
                 improver |= gone
         return got & improver
 
-    def successors(self, x: int) -> list[int]:
-        """Matchings that pass the structural screen from x, memoised."""
+    def succ_mask(self, x: int) -> int:
+        """The matchings that pass the structural screen from x, memoised."""
         got = self._succ.get(x)
         if got is None:
-            ok = self.all & ~(1 << x)
+            got = self.all & ~(1 << x)
             for s, r in enumerate(self.rid[x]):
-                ok &= ~self.groups(s, r, False)[BLOCKED]
-            got = self._succ[x] = _members(ok)
+                got &= ~self.groups(s, r, False)[BLOCKED]
+            self._succ[x] = got
         return got
+
+    def direct(self, x: int) -> int:
+        """The matchings y for which x -> y holds with lookahead y itself.
+
+        Built for every x at once, on first use, by transposing each y's
+        predecessor set under lookahead y, where every claim is anchored
+        (y seats each joiner where she joins).
+        """
+        if self._direct is None:
+            rows = [0] * len(self.vecs)
+            anchored = [[True] * self.m] * len(self.students)
+            for y in range(len(self.vecs)):
+                bit = 1 << y
+                sources = self.predecessors(y, (anchored, *self._gains(y)), self.all)
+                while sources:
+                    low = sources & -sources
+                    rows[low.bit_length() - 1] |= bit
+                    sources ^= low
+            self._direct = rows
+        return self._direct[x]
 
     def sources_reaching(self, target_idx: int) -> int:
         """The bitset of universe indices from which the target is reachable."""
@@ -473,8 +510,8 @@ def find_enforcing_coalition(
     higher-priority newcomer.
     """
     oracle = _EdgeOracle(problem, (a, b, ref))
-    found = oracle.edge(0, 1, oracle.look(2))
-    if found is None:
+    found = oracle.edge(0, 1)
+    if found is None or not oracle.looks(0, 1) >> 2 & 1:
         return None
     students, schools = found
     return Coalition(
@@ -641,53 +678,96 @@ def phi_horizon(
     if mu not in oracle.index:
         raise ValueError("matching not in the enumerated universe")
     reachable, partial = _phi_horizon(oracle, oracle.index[mu], k, depth_cap, node_budget)
-    return HorizonResult(reachable={uni[t] for t in reachable}, partial=partial)
+    return HorizonResult(reachable={uni[t] for t in _members(reachable)}, partial=partial)
+
+
+class _GoalReached(Exception):
+    """Unwinds `_phi_horizon` at its first certified goal matching."""
 
 
 def _phi_horizon(
-    oracle: _EdgeOracle, src: int, k: int, depth_cap: int | None, node_budget: int
-) -> tuple[set[int], bool]:
-    """`phi_horizon` on universe indices, reusing the oracle's memos."""
+    oracle: _EdgeOracle,
+    src: int,
+    k: int,
+    depth_cap: int | None,
+    node_budget: int,
+    goal: int = 0,
+) -> tuple[int, bool]:
+    """`phi_horizon` on universe indices, reusing the oracle's memos.
+
+    Returns the reachable set as a bitset.  The path keeps, per move, the
+    bitset of lookaheads under which the move holds (`looks`); a move's
+    window closes when the matching k steps later is appended, so a node's
+    extensions are its successors off the path under the mask of the move
+    that closes, and an endpoint is certified by the AND of the masks whose
+    windows are still open.  Children at the depth cap are certified all at
+    once when the budget covers them, and charged one node each.  With a
+    goal bitset the search stops at its first certified goal matching, and
+    its result then only says that a goal was reached.
+    """
     if k < 1:
         raise ValueError("horizon must be >= 1")
     if depth_cap is None:
         depth_cap = min(len(oracle.vecs), DEFAULT_DEPTH_CAP)
-    edge, look = oracle.edge, oracle.look
-    reachable: set[int] = set()
+    succ, direct, looks, everything = oracle.succ_mask, oracle.direct, oracle.looks, oracle.all
+    path = [src]
+    moves: list[int] = []  # per move on the path, the lookaheads under which it holds
+    reachable = 0
     partial = False
     budget = node_budget
 
-    def dfs(path: list[int], onpath: set[int]):
-        nonlocal partial, budget
+    def window(lo: int, hi: int) -> int:
+        got = everything
+        for mask in moves[max(0, lo):hi]:
+            got &= mask
+        return got
+
+    def dfs(L: int, onpath: int):
+        nonlocal partial, budget, reachable
         if budget <= 0:
             partial = True
             return
         budget -= 1
-        # certify the current endpoint as a target if every move whose window
-        # is still open holds against it; the others held on extension
-        L = len(path) - 1
-        if L >= 1:
-            ref = look(path[L])
-            if all(edge(path[l], path[l + 1], ref) for l in range(max(0, L - k + 1), L)):
-                reachable.add(path[L])
+        x = path[L]
+        # certify the endpoint if every move whose window is still open
+        # holds against it; the others held on extension
+        if L and window(L - k + 1, L) >> x & 1:
+            reachable |= 1 << x
+            if reachable & goal:
+                raise _GoalReached
         if L >= depth_cap:
             partial = True  # a longer path might certify more targets
             return
-        # the newest move's window is open; it is only screened against
-        # feasibility of the move structure itself
-        for y in oracle.successors(path[L]):
-            if y in onpath:
-                continue
+        # the move whose window closes with the extension must hold; at
+        # k = 1 that is the new move itself, under its own target
+        cand = succ(x) & ~onpath
+        if k == 1:
+            cand &= direct(x)
+        elif L + 1 >= k:
+            cand &= moves[L + 1 - k]
+        if L + 1 == depth_cap and budget >= cand.bit_count():
+            if cand:
+                budget -= cand.bit_count()
+                partial = True
+                reachable |= cand & direct(x) & window(L + 2 - k, L)
+                if reachable & goal:
+                    raise _GoalReached
+            return
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            y = low.bit_length() - 1
             path.append(y)
-            onpath.add(y)
-            # the move whose window closes with this extension must hold
-            l = L + 1 - k
-            if l < 0 or edge(path[l], path[l + 1], look(y)):
-                dfs(path, onpath)
+            moves.append(looks(x, y) if k > 1 else everything)
+            dfs(L + 1, onpath | low)
             path.pop()
-            onpath.discard(y)
+            moves.pop()
 
-    dfs([src], {src})
+    try:
+        dfs(0, 1 << src)
+    except _GoalReached:
+        pass
+    del dfs  # break its self-reference, so the oracle is freed without a gc pass
     return reachable, partial
 
 
@@ -696,13 +776,27 @@ def _phi_horizon(
 # --------------------------------------------------------------------------
 
 def _horizon_runs(
-    oracle: _EdgeOracle, k: int, depth_cap: int | None
-) -> list[tuple[set[int], bool]]:
-    """`_phi_horizon` from every matching of the universe on one oracle."""
-    return [
-        _phi_horizon(oracle, x, k, depth_cap, DEFAULT_NODE_BUDGET)
-        for x in range(len(oracle.vecs))
-    ]
+    oracle: _EdgeOracle, k: int, depth_cap: int | None, cand: Sequence[int] = ()
+) -> list[tuple[int, bool]]:
+    """`_phi_horizon` from every matching of the universe on one oracle.
+
+    A run from outside the candidate set stops at its first certified
+    candidate, since `_horizon_check` reads no more of it.  The runs of a
+    multi-matching candidate set stay exhaustive; a lone candidate's own
+    run is never read, so it is skipped and left empty.
+    """
+    if k < 1:
+        raise ValueError("horizon must be >= 1")
+    goal = sum(1 << x for x in cand)
+    runs = []
+    for x in range(len(oracle.vecs)):
+        if not goal >> x & 1:
+            runs.append(_phi_horizon(oracle, x, k, depth_cap, DEFAULT_NODE_BUDGET, goal))
+        elif len(cand) > 1:
+            runs.append(_phi_horizon(oracle, x, k, depth_cap, DEFAULT_NODE_BUDGET))
+        else:
+            runs.append((0, False))
+    return runs
 
 
 def _horizon_check(runs, cand: list[int]) -> tuple[list, list, bool]:
@@ -712,12 +806,12 @@ def _horizon_check(runs, cand: list[int]) -> tuple[list, list, bool]:
     reached no candidate is unknown, not an external violation; so is
     internal stability when a candidate's own search was cut short.
     """
-    inside = set(cand)
-    internal = [(a, b) for a in cand for b in cand if a != b and b in runs[a][0]]
+    inside = sum(1 << x for x in cand)
+    internal = [(a, b) for a in cand for b in cand if a != b and runs[a][0] >> b & 1]
     unknown = len(cand) > 1 and any(runs[a][1] for a in cand)
     external = []
     for x, (reach, partial) in enumerate(runs):
-        if x in inside or not reach.isdisjoint(inside):
+        if inside >> x & 1 or reach & inside:
             continue
         if partial:
             unknown = True
@@ -756,7 +850,7 @@ def check_stable_set(
         external = _members(oracle.all & ~covered)
         unknown = False
     else:
-        runs = _horizon_runs(oracle, int(horizon), depth_cap)
+        runs = _horizon_runs(oracle, int(horizon), depth_cap, idx)
         internal, external, unknown = _horizon_check(runs, idx)
     return StableSetReport(
         candidate=cand,

@@ -237,3 +237,15 @@ def test_criterion_8_negative_results_reproduced(
     assert is_pareto_efficient(trading_instance, muB, universe=trading_universe)
     assert all(muB not in group for group in sets3)
     ok("8 (negative results reproduced computationally)")
+
+
+def test_criterion_9_three_steps_ahead_suffice_for_ttc(
+    trading_instance, trading_goldens, trading_universe
+):
+    start = time.time()
+    report = check_stable_set(
+        trading_instance, [trading_goldens["ttc"]], horizon=3, universe=trading_universe
+    )
+    assert time.time() - start < 10.0
+    assert report.verdict == "stable" and not report.partial
+    ok("9 ({TTC} stable at horizon 3, conclusively)")

@@ -453,6 +453,35 @@ def oracle_phi(problem, universe, mu):
     return out
 
 
+def oracle_looks(problem, universe):
+    """Per ordered pair of matchings, the lookaheads under which oracle_edge
+    lets the move happen."""
+    return {
+        (a, b): {ref for ref in universe if oracle_edge(problem, a, b, ref)}
+        for a in universe for b in universe
+    }
+
+
+def oracle_phi_horizon(universe, holds, mu, k, depth_cap):
+    """phi_horizon from scratch: the ends of the simple paths of at most
+    depth_cap moves from mu whose every move holds (per `oracle_looks`)
+    against the matching k steps later, or the path's end when nearer."""
+    out = set()
+    stack = [(mu,)]
+    while stack:
+        path = stack.pop()
+        end = len(path) - 1
+        if end and all(path[min(l + k, end)] in holds[path[l], path[l + 1]] for l in range(end)):
+            out.add(path[-1])
+        if end < depth_cap:
+            # a move that holds under no lookahead is on no certified path
+            stack.extend(
+                path + (nxt,) for nxt in universe
+                if nxt not in path and holds[path[-1], nxt]
+            )
+    return out
+
+
 class TestReachabilityOracle:
     def test_search_matches_simple_path_enumeration(self):
         rng = random.Random(61)
@@ -465,6 +494,28 @@ class TestReachabilityOracle:
             instances += 1
             for mu in universe:
                 assert phi(p, mu, universe=universe) == oracle_phi(p, universe, mu)
+
+    def test_horizon_search_matches_simple_path_enumeration(self):
+        rng = random.Random(77)
+        instances = 0
+        shorter = 0  # answers that a horizon below the depth cap changes
+        while instances < 20:
+            p = random_problem(rng, max_students=4, max_schools=2)
+            universe = enumerate_matchings(p)
+            if not 6 <= len(universe) <= 12:
+                continue
+            instances += 1
+            holds = oracle_looks(p, universe)
+            for mu in universe:
+                for depth in (1, 2, 3, 4):
+                    answers = []
+                    for k in (1, 2, 3):
+                        got = phi_horizon(p, mu, k, depth_cap=depth, universe=universe)
+                        expect = oracle_phi_horizon(universe, holds, mu, k, depth)
+                        assert got.reachable == expect, (mu.literal(), k, depth)
+                        answers.append(expect)
+                    shorter += answers[0] != answers[2] or answers[1] != answers[2]
+        assert shorter
 
     def test_trading_instance_spotcheck(self, trading_instance, trading_goldens, trading_universe):
         # spot-check one edge of the walkthrough against the raw conditions
@@ -508,8 +559,9 @@ class TestEdgeKernel:
                     if over:
                         admissible = all(school_move_admissible(p, s, a, b) for s in over)
                         replacement[admissible] += 1
+                    allowed = oracle.looks(x, y)
                     for t in refs:
-                        got = oracle.edge(x, y, oracle.look(t)) is not None
+                        got = bool(allowed >> t & 1)
                         assert got == oracle_edge(p, a, b, universe[t]), (x, y, t)
                         replaced_edges += got and bool(over)
         assert replacement[True] and replacement[False]
@@ -523,12 +575,13 @@ class TestEdgeKernel:
             oracle = _EdgeOracle(p, universe)
             n = len(universe)
             for x in range(n):
-                assert oracle.successors(x) == [y for y in range(n) if oracle.edge(x, y)]
+                screened = [y for y in range(n) if oracle.edge(x, y)]
+                assert oracle.succ_mask(x) == sum(1 << y for y in screened)
             for t in refs:
-                look, masks = oracle.look(t), oracle.student_masks(t)
+                masks = oracle.student_masks(t)
                 for y, b in enumerate(universe):
                     got = oracle.predecessors(y, masks, oracle.all)
-                    edges = [x for x in range(n) if oracle.edge(x, y, look) is not None]
+                    edges = [x for x in range(n) if oracle.looks(x, y) >> t & 1]
                     assert got == sum(1 << x for x in edges), (y, t)
                     for x, a in enumerate(universe):
                         if not got >> x & 1:
@@ -549,6 +602,23 @@ class TestEdgeKernel:
         assert phi(trading_instance, da, universe=trading_universe) == {trading_goldens["ttc"]}
         report = check_stable_set(trading_instance, [da], universe=trading_universe)
         assert report.verdict == "unstable"
+
+    def test_horizon_search_makes_no_edge_call(
+        self, trading_instance, trading_goldens, trading_universe, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("edge called")
+
+        monkeypatch.setattr(_EdgeOracle, "edge", refuse)
+        ttc = trading_goldens["ttc"]
+        res = phi_horizon(
+            trading_instance, trading_goldens["da"], 3, depth_cap=3, universe=trading_universe
+        )
+        assert ttc in res.reachable
+        report = check_stable_set(
+            trading_instance, [ttc], horizon=3, universe=trading_universe, depth_cap=3
+        )
+        assert report.verdict == "stable"
 
     def test_search_leaves_numpy_unimported(self):
         script = (
