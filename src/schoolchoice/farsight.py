@@ -54,6 +54,9 @@ cap are certified together by one AND with the node's `direct` set (its
 moves that hold under their own target).  A horizon stable-set check stops
 each run from outside the candidate set at its first certified candidate.
 No search calls `edge` per pair.  Everything is plain Python; no numpy.
+
+Consecutive searches on one (problem, universe) share one oracle and its memos,
+kept alive (|U|²-bit `direct` masks too) until a search on another universe.
 """
 from __future__ import annotations
 
@@ -80,6 +83,9 @@ DEFAULT_SEARCH_CAP = 10**5
 #: Expansion budget for the horizon-k depth-first search; when exhausted the
 #: result is flagged partial rather than wrong.
 DEFAULT_NODE_BUDGET = 2_000_000
+
+#: The last search's (problem, universe, oracle); see `_oracle`.
+_slot: tuple = (None, (), None)
 
 
 @dataclass(frozen=True)
@@ -337,11 +343,12 @@ class _EdgeOracle:
         key = (s, r, into)
         got = self._groups.get(key)
         if got is None:
-            got = self._groups[key] = [0, 0, 0]
+            got = [0, 0, 0]
             quota, prio, rosters = self.quota[s], self.prio[s], self.rosters[s]
             for other, mask in zip(rosters, self.roster_masks[s]):
                 held, ends = (other, rosters[r]) if into else (rosters[r], other)
                 got[_school_verdict(quota, prio, len(held), ends - held, held - ends)] |= mask
+            self._groups[key] = got  # stored filled: a shared oracle's memos stay whole
         return got
 
     def student_masks(self, t: int):
@@ -608,6 +615,20 @@ def _universe(problem: Problem, universe, cap) -> list[Matching]:
     return list(universe)
 
 
+def _oracle(problem: Problem, uni: Sequence[Matching]) -> _EdgeOracle:
+    """The oracle for (problem, uni), shared by consecutive searches through
+    `_slot`: keyed by problem identity (`Matching` equality ignores it) and
+    universe content, and read once, so no caller gets another's oracle."""
+    global _slot
+    key, slot = tuple(uni), _slot
+    if slot[0] is problem and slot[1] == key:
+        return slot[2]
+    slot = _slot = (None, (), None)  # free the old oracle before building one
+    oracle = _EdgeOracle(problem, key)
+    _slot = (problem, key, oracle)
+    return oracle
+
+
 def phi(
     problem: Problem,
     mu: Matching,
@@ -616,7 +637,7 @@ def phi(
 ) -> set[Matching]:
     """All matchings reachable from mu by a farsighted improving path."""
     uni = _universe(problem, universe, cap)
-    oracle = _EdgeOracle(problem, uni)
+    oracle = _oracle(problem, uni)
     if mu not in oracle.index:
         raise ValueError("matching not in the enumerated universe")
     src = oracle.index[mu]
@@ -628,7 +649,7 @@ def phi(
 
 def _columns(problem: Problem, uni: list[Matching]) -> list[int]:
     """Per target t, the bitset of the matchings whose phi contains t."""
-    oracle = _EdgeOracle(problem, uni)
+    oracle = _oracle(problem, uni)
     return [oracle.sources_reaching(t) for t in range(len(uni))]
 
 
@@ -674,7 +695,7 @@ def phi_horizon(
     any branch.
     """
     uni = _universe(problem, universe, cap)
-    oracle = _EdgeOracle(problem, uni)
+    oracle = _oracle(problem, uni)
     if mu not in oracle.index:
         raise ValueError("matching not in the enumerated universe")
     reachable, partial = _phi_horizon(oracle, oracle.index[mu], k, depth_cap, node_budget)
@@ -837,7 +858,7 @@ def check_stable_set(
     if not cand:
         raise ValueError("candidate set must be nonempty")
     uni = _universe(problem, universe, cap)
-    oracle = _EdgeOracle(problem, uni)
+    oracle = _oracle(problem, uni)
     idx = [oracle.index[mu] for mu in cand]
     if horizon == FARSIGHTED:
         reach_to = [oracle.sources_reaching(t) for t in idx]
@@ -875,7 +896,7 @@ def find_singleton_stable_sets(
 ) -> list[Matching]:
     """All matchings mu with {mu} a (horizon-k) farsighted stable set."""
     uni = _universe(problem, universe, cap)
-    oracle = _EdgeOracle(problem, uni)
+    oracle = _oracle(problem, uni)
     if horizon == FARSIGHTED:
         out = [
             mu for t, mu in enumerate(uni)

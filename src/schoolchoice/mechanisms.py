@@ -265,8 +265,7 @@ def run_ia(problem: Problem) -> Matching:
             else:
                 applicants[prefs[round_no]].append(i)
         for s in problem.schools:
-            group = sorted(applicants[s], key=lambda j: problem.priority_rank(s, j))
-            admitted = group[: capacity[s]]
+            admitted = _top_priority(problem, s, applicants[s], capacity[s])
             capacity[s] -= len(admitted)
             for i in admitted:
                 assignment[i] = s

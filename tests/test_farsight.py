@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -20,13 +21,16 @@ from schoolchoice import (
     find_stable_sets,
     phi,
     phi_horizon,
+    reachability_matrix,
     run_ct,
+    run_da,
     run_ttc,
     school_move_admissible,
     sort_matchings,
     validate_path,
     validate_path_horizon,
 )
+from schoolchoice import farsight
 from schoolchoice.farsight import MoveStep, _EdgeOracle
 
 from conftest import matching_of, random_problem
@@ -641,3 +645,166 @@ class TestEdgeKernel:
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert out.stdout.strip() == "False"
+
+
+def small_problems(rng, count):
+    """count problems drawn from rng with 2-20 matchings each."""
+    while count:
+        p = random_problem(rng, 4, 3)
+        if 2 <= len(enumerate_matchings(p)) <= 20:
+            count -= 1
+            yield p
+
+
+def twin(p):
+    """p with every preference list and priority order reversed: the same
+    acceptable sets and quotas, so the same assignment vectors."""
+    return Problem(
+        p.students, p.schools, p.quotas,
+        {i: prefs[::-1] for i, prefs in p.preferences.items()},
+        {s: order[::-1] for s, order in p.priorities.items()},
+    )
+
+
+def searches(p, uni):
+    """One call of each search that goes through the shared oracle."""
+    a, b = uni[0], uni[-1]
+    return [
+        lambda: phi(p, a, universe=uni),
+        lambda: check_stable_set(p, [a], universe=uni),
+        lambda: check_stable_set(p, [a, b], universe=uni),
+        lambda: find_singleton_stable_sets(p, universe=uni),
+        lambda: reachability_matrix(p, universe=uni)[0],
+        lambda: phi_horizon(p, b, 2, depth_cap=3, universe=uni),
+        lambda: check_stable_set(p, [b], horizon=2, universe=uni, depth_cap=3),
+    ]
+
+
+def count_builds(monkeypatch):
+    """Record every `_EdgeOracle` built from now on."""
+    built = []
+    init = _EdgeOracle.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(_EdgeOracle, "__init__", counting)
+    return built
+
+
+def fresh_answers(monkeypatch, p, uni):
+    """The answers of `searches` with a new oracle for every call."""
+    with monkeypatch.context() as m:
+        m.setattr(farsight, "_oracle", _EdgeOracle)
+        return [search() for search in searches(p, uni)]
+
+
+class TestSharedOracle:
+    def test_consecutive_searches_build_one_oracle(self, monkeypatch):
+        p = next(small_problems(random.Random(31), 1))  # new, so not in the slot
+        built = count_builds(monkeypatch)
+        universe = enumerate_matchings(p)
+        check_stable_set(p, [run_ttc(p)[0]], universe=universe)
+        check_stable_set(p, [run_da(p)], universe=universe)
+        assert len(built) == 1
+        # equal content hits the slot: a copy, or the universe enumerated again
+        for search in searches(p, list(universe)):
+            search()
+        phi(p, run_da(p))
+        find_stable_sets(p, max_size=2)
+        assert len(built) == 1
+
+    def test_interleaved_problems_match_fresh_oracles(self, monkeypatch):
+        differ = 0
+        for p in small_problems(random.Random(32), 12):
+            q = twin(p)
+            uni = enumerate_matchings(p)
+            assert enumerate_matchings(q) == uni
+            want = {id(r): fresh_answers(monkeypatch, r, uni) for r in (p, q)}
+            differ += want[id(p)] != want[id(q)]
+            got = {id(p): [], id(q): []}
+            for sp, sq in zip(searches(p, uni), searches(q, uni)):
+                got[id(p)].append(sp())
+                got[id(q)].append(sq())
+            assert got == want
+        assert differ  # a slot keyed on the universe alone would fail
+
+    def test_universe_mutated_in_place_misses_the_slot(self, monkeypatch):
+        for p in small_problems(random.Random(33), 12):
+            uni = enumerate_matchings(p)
+            for search in searches(p, uni):
+                search()
+            for mutate in (list.reverse, lambda u: u.pop(len(u) // 2)):
+                mutate(uni)
+                want = fresh_answers(monkeypatch, p, uni)
+                assert [search() for search in searches(p, uni)] == want
+
+    def test_enforcing_coalition_keeps_the_slot(self, monkeypatch):
+        p = next(small_problems(random.Random(34), 1))
+        universe = enumerate_matchings(p)
+        built = count_builds(monkeypatch)
+        check_stable_set(p, [universe[0]], universe=universe)
+        kept = farsight._slot
+        find_enforcing_coalition(p, universe[0], universe[-1], universe[-1])
+        assert farsight._slot is kept
+        check_stable_set(p, [universe[-1]], universe=universe)
+        assert len(built) == 2  # the slot's and the coalition's own
+
+    def test_concurrent_callers_get_their_own_answers(self, monkeypatch):
+        for p in small_problems(random.Random(35), 10):  # twins that answer differently
+            q = twin(p)
+            uni = enumerate_matchings(p)
+            want = {id(r): fresh_answers(monkeypatch, r, uni) for r in (p, q)}
+            if want[id(p)] != want[id(q)]:
+                break
+        else:
+            pytest.fail("no problem answers unlike its twin")
+        wrong = []
+
+        def work(r):
+            for _ in range(25):
+                # new but equal matchings each time, so the universe is
+                # compared element by element
+                got = [search() for search in searches(r, enumerate_matchings(r))]
+                wrong.append(got != want[id(r)])
+
+        run_threads([lambda r=r: work(r) for r in (p, q, p, q)])
+        assert len(wrong) == 100 and not any(wrong)
+
+    def test_threads_sharing_one_oracle_fill_its_memos_whole(self, monkeypatch):
+        rng = random.Random(36)
+        uni = []
+        while not 60 <= len(uni) <= 120:
+            p = random_problem(rng, 5, 3)
+            uni = enumerate_matchings(p)
+        with monkeypatch.context() as m:
+            m.setattr(farsight, "_oracle", _EdgeOracle)
+            want = reachability_matrix(p, universe=uni)[0]
+        wrong = []
+        for _ in range(20):
+            farsight._oracle(p, uni)  # a new oracle, memos empty, for all threads
+            start = threading.Barrier(4, timeout=60)
+
+            def work():
+                start.wait()
+                wrong.append(reachability_matrix(p, universe=uni)[0] != want)
+
+            run_threads([work] * 4)
+        assert len(wrong) == 80 and not any(wrong)
+
+
+def run_threads(targets):
+    """Run each target in its own thread, switching threads as often as the
+    interpreter allows, and check that all of them finished."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=t) for t in targets]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
