@@ -56,7 +56,7 @@ each run from outside the candidate set at its first certified candidate.
 No search calls `edge` per pair.  Everything is plain Python; no numpy.
 
 Consecutive searches on one (problem, universe) share one oracle and its memos,
-kept alive (|U|²-bit `direct` masks too) until a search on another universe.
+kept alive (|U|²-bit `direct` masks too) until a search elsewhere replaces it.
 """
 from __future__ import annotations
 
