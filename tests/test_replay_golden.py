@@ -58,10 +58,14 @@ def instances(worked: dict) -> dict:
     return out
 
 
-def _mechanism_record(problem) -> dict:
+def _mechanism_record(problem, names=tuple(sorted(MECHANISMS))) -> dict:
     out = {}
-    for name in sorted(MECHANISMS):
-        mu, trace = run_mechanism(name, problem)
+    for name in names:
+        try:
+            mu, trace = run_mechanism(name, problem)
+        except SchoolChoiceError as exc:
+            out[name] = {"error": f"{type(exc).__name__}: {exc}"}
+            continue
         rec = {"matching": mu.literal()}
         if trace is not None:
             rec["trace"] = trace_to_dict(trace)
