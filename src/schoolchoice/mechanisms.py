@@ -4,6 +4,18 @@ run_ttc / run_fct / run_ct / run_ettc return (matching, trace); run_da and
 run_ia return just the matching.  Traces record, step by step, remaining
 capacities, clinch rounds, cycles and the matches they formed, which is
 enough to replay or audit a run.
+
+TTC, FCT and CT trade on one pointer state (`_Pointers`) kept across
+their steps, so a step costs about the schools plus the students it moves:
+- cursors are monotone: a student's cursor over her list only skips
+  schools without a free seat, and capacities only fall; a school's cursor
+  over its priority order only skips students who left the pool, and the
+  pool only shrinks;
+- pointers are refreshed when a school fills: only the students pointing
+  at it move on, and each school keeps the list of who points at it;
+- walks start from schools: every cycle but a self-cycle holds a school,
+  so the graph is walked on the schools with a free seat, and the students
+  whose lists ran out form the self-cycles.
 """
 from __future__ import annotations
 
@@ -109,40 +121,22 @@ def _functional_cycles(succ: dict, starts) -> list[list]:
     return cycles
 
 
-def _find_cycles(problem: Problem, student_ptr: dict, school_ptr: dict) -> list[Cycle]:
+def _find_cycles(problem: Problem, succ: dict, top: dict, selfs) -> list[Cycle]:
     """Cycles of the pointing graph, deterministically ordered.
 
-    student_ptr maps student -> school or SELF; school_ptr maps school ->
-    student.  A student pointing at SELF is a self-loop.  Non-self cycles
-    are rotated to start at their earliest school (declaration order); the
-    cycle list is sorted by that school, with self-cycles last in student
-    order.
+    The graph is walked on its schools: succ maps a school to the school its
+    top student (top[school]) points at, and selfs are the students pointing
+    at themselves.  Non-self cycles are rotated to start at their earliest
+    school (declaration order); the cycle list is sorted by that school, with
+    self-cycles last in student order.
     """
-    succ = {("i", i): ("i", i) if s is SELF else ("s", s) for i, s in student_ptr.items()}
-    succ.update({("s", s): ("i", j) for s, j in school_ptr.items()})
     out = []
     for cyc in _functional_cycles(succ, succ):
-        if len(cyc) == 1:
-            out.append(Cycle((cyc[0][1],), is_self_cycle=True))
-            continue
-        school_positions = [k for k, node in enumerate(cyc) if node[0] == "s"]
-        start = min(school_positions, key=lambda k: problem.school_index(cyc[k][1]))
-        rotated = cyc[start:] + cyc[:start]
-        out.append(Cycle(tuple(node[1] for node in rotated)))
-
-    def key(c: Cycle):
-        if c.is_self_cycle:
-            return (1, problem.student_index(c.members[0]))
-        return (0, problem.school_index(c.members[0]))
-
-    return sorted(out, key=key)
-
-
-def _best_school_with_capacity(problem: Problem, i: str, capacity: dict):
-    for s in problem.preferences[i]:
-        if capacity.get(s, 0) >= 1:
-            return s
-    return SELF
+        k = min(range(len(cyc)), key=lambda k: problem.school_index(cyc[k]))
+        out.append(Cycle(tuple(x for s in cyc[k:] + cyc[:k] for x in (s, top[s]))))
+    out.sort(key=lambda c: problem.school_index(c.members[0]))
+    selfs = sorted(selfs, key=problem.student_index)
+    return out + [Cycle((i,), is_self_cycle=True) for i in selfs]
 
 
 def _top_priority(problem: Problem, s: str, pool, k: int) -> tuple:
@@ -169,25 +163,82 @@ def _execute(step: TraceStep, assignment: dict, capacity: dict, moves) -> None:
             capacity[a] -= 1
 
 
-def _trade(
-    problem: Problem, step: TraceStep, assignment: dict, capacity: dict, students, pool
-) -> dict:
-    """One trading round; returns the student pointers.
+class _Pointers:
+    """The pointing graph of TTC, FCT and CT, kept across their steps.
 
-    Each of `students` points at her best school with a free seat (or at
-    herself), each school with a free seat at its highest-priority student
-    in pool, and every cycle of that graph executes.
+    ptr[i] is the first school of student i's list with a free seat, or
+    SELF; a school points at the first student of its priority order still
+    in the pool.  See the module docstring for why both cursors only move
+    forward.  `moved` collects the students whose pointer changed; FCT
+    drains it.
     """
-    student_ptr = {i: _best_school_with_capacity(problem, i, capacity) for i in students}
-    school_ptr = {
-        s: _top_priority(problem, s, pool, 1)[0]
-        for s in problem.schools
-        if capacity[s] >= 1 and pool
-    }
-    step.cycles = _find_cycles(problem, student_ptr, school_ptr)
-    moves = (m for c in step.cycles for m in c.assignments().items())
-    _execute(step, assignment, capacity, moves)
-    return student_ptr
+
+    def __init__(self, problem: Problem):
+        self.problem = problem
+        self.capacity = {s: problem.quota(s) for s in problem.schools}
+        self.assignment: dict = {}
+        self.ptr: dict = {}
+        self.moved: set = set()
+        self._pos = dict.fromkeys(problem.students, -1)
+        self._pointing: dict = {s: [] for s in problem.schools}
+        self._selfs: list = []
+        # each school's order of all students by (priority rank, index): its
+        # first pool member (pools keep declared order) is exactly
+        # _top_priority(problem, s, pool, 1)[0]
+        everyone = problem.students
+        self._order = {
+            s: [everyone[k] for k in sorted(range(len(everyone)), key=row.__getitem__)]
+            for s, row in zip(problem.schools, problem._prio_rank)
+        }
+        self._top = dict.fromkeys(problem.schools, 0)
+        for i in everyone:
+            self._advance(i)
+
+    def _advance(self, i: str) -> None:
+        prefs, k = self.problem.preferences[i], self._pos[i] + 1
+        while k < len(prefs) and self.capacity.get(prefs[k], 0) < 1:
+            k += 1
+        self._pos[i] = k
+        if k < len(prefs):
+            self.ptr[i] = prefs[k]
+            self._pointing[prefs[k]].append(i)
+        else:
+            self.ptr[i] = SELF
+            self._selfs.append(i)
+        self.moved.add(i)
+
+    def execute(self, step: TraceStep, moves) -> None:
+        """_execute, then re-point the students of every school that filled."""
+        moves = list(moves)
+        _execute(step, self.assignment, self.capacity, moves)
+        for s in dict.fromkeys(a for _, a in moves):
+            if self.capacity.get(s, 1) < 1:
+                for i in self._pointing.pop(s, ()):
+                    if i not in self.assignment:
+                        self._advance(i)
+
+    def trade(self, step: TraceStep, held=()) -> None:
+        """One trading round: every cycle of the pointing graph executes.
+
+        The unassigned students point; schools with a free seat point into
+        the pool, which is the unassigned students plus those of held.
+        """
+        assignment, succ, top = self.assignment, {}, {}
+        for s in self.problem.schools:
+            if self.capacity[s] < 1:
+                continue
+            order, k = self._order[s], self._top[s]
+            while k < len(order) and order[k] in assignment and order[k] not in held:
+                k += 1
+            self._top[s] = k
+            if k == len(order):
+                continue
+            j = top[s] = order[k]
+            if j not in assignment and self.ptr[j] is not SELF:
+                succ[s] = self.ptr[j]
+        selfs, self._selfs = [i for i in self._selfs if i not in assignment], []
+        step.cycles = _find_cycles(self.problem, succ, top, selfs)
+        self.execute(step, (m for c in step.cycles for m in c.assignments().items()))
 
 
 # --------------------------------------------------------------------------
@@ -195,18 +246,13 @@ def _trade(
 # --------------------------------------------------------------------------
 
 def run_ttc(problem: Problem) -> tuple[Matching, MechanismTrace]:
-    remaining = list(problem.students)
-    capacity = {s: problem.quota(s) for s in problem.schools}
-    assignment: dict = {}
+    ptrs = _Pointers(problem)
     steps = []
-    step_no = 0
-    while remaining:
-        step_no += 1
-        record = TraceStep(step=step_no, capacities=dict(capacity))
-        _trade(problem, record, assignment, capacity, remaining, remaining)
-        remaining = [i for i in remaining if i not in assignment]
+    while len(ptrs.assignment) < len(problem.students):
+        record = TraceStep(step=len(steps) + 1, capacities=dict(ptrs.capacity))
+        ptrs.trade(record)
         steps.append(record)
-    mu = problem.matching(assignment)
+    mu = problem.matching(ptrs.assignment)
     return mu, MechanismTrace("ttc", steps, mu)
 
 
@@ -289,34 +335,29 @@ def initial_guarantees(problem: Problem) -> dict:
 def run_fct(problem: Problem) -> tuple[Matching, MechanismTrace]:
     guarantees = initial_guarantees(problem)
     guaranteed = {s: set(g) for s, g in guarantees.items()}
-    remaining = list(problem.students)
-    capacity = {s: problem.quota(s) for s in problem.schools}
-    assignment: dict = {}
+    ptrs = _Pointers(problem)
     steps = []
-    step_no = 0
-    while remaining:
-        step_no += 1
-        record = TraceStep(step=step_no, capacities=dict(capacity))
-        step_start_remaining = list(remaining)
+    while len(ptrs.assignment) < len(problem.students):
+        record = TraceStep(step=len(steps) + 1, capacities=dict(ptrs.capacity))
         # clinch phase: a student pointing at a school where she is
-        # guaranteed a seat is assigned there at once
-        clinches = []
-        for i in remaining:
-            s = _best_school_with_capacity(problem, i, capacity)
-            if s is not SELF and i in guaranteed[s]:
-                clinches.append((i, s))
-        _execute(record, assignment, capacity, clinches)
+        # guaranteed a seat is assigned there at once; no one else could
+        # clinch last step, so only a student whose pointer moved can now
+        moved, ptrs.moved = sorted(ptrs.moved, key=problem.student_index), set()
+        clinches = [
+            (i, ptrs.ptr[i])
+            for i in moved
+            if i not in ptrs.assignment and i in guaranteed.get(ptrs.ptr[i], ())
+        ]
+        ptrs.execute(record, clinches)
         record.clinch_rounds.append(ClinchRound(1, dict(guarantees), clinches))
-        remaining = [i for i in remaining if i not in assignment]
-        # trading phase: schools keep pointing at the step-start remaining
-        # set, so a cycle through a just-clinched student does not form
-        # (such a student points nowhere)
-        _trade(problem, record, assignment, capacity, remaining, step_start_remaining)
-        remaining = [i for i in remaining if i not in assignment]
+        # trading phase: schools keep pointing at the step-start pool, so a
+        # cycle through a just-clinched student does not form (such a
+        # student points nowhere)
+        ptrs.trade(record, held={i for i, _ in clinches})
         steps.append(record)
         if not clinches and not record.cycles:
             raise AssertionError("first clinch and trade made no progress")
-    mu = problem.matching(assignment)
+    mu = problem.matching(ptrs.assignment)
     return mu, MechanismTrace("fct", steps, mu, guarantees_initial=guarantees)
 
 
@@ -325,24 +366,20 @@ def run_fct(problem: Problem) -> tuple[Matching, MechanismTrace]:
 # --------------------------------------------------------------------------
 
 def run_ct(problem: Problem) -> tuple[Matching, MechanismTrace]:
+    ptrs = _Pointers(problem)
+    capacity, assignment = ptrs.capacity, ptrs.assignment
     remaining = list(problem.students)
-    capacity = {s: problem.quota(s) for s in problem.schools}
-    assignment: dict = {}
     steps = []
-    step_no = 0
     pointed_last_trading: dict = {}
     while remaining:
-        step_no += 1
-        record = TraceStep(step=step_no, capacities=dict(capacity))
+        record = TraceStep(step=len(steps) + 1, capacities=dict(capacity))
         # students who pointed in the previous trading phase at a school that
         # still has a seat stay in the trading market and skip clinching
         excluded = tuple(
-            i
-            for i in remaining
-            if pointed_last_trading.get(i) is not None
-            and capacity.get(pointed_last_trading[i], 0) >= 1
+            i for i in remaining if capacity.get(pointed_last_trading.get(i), 0) >= 1
         )
         record.excluded = excluded
+        barred = set(excluded)
         # iterated clinching; priorities are re-ranked among the students
         # still present, so guarantees improve as others clinch
         unclinched = list(remaining)
@@ -355,7 +392,7 @@ def run_ct(problem: Problem) -> tuple[Matching, MechanismTrace]:
                 s: tuple(
                     i
                     for i in _top_priority(problem, s, unclinched, capacity[s])
-                    if i not in excluded
+                    if i not in barred
                 )
                 for s in problem.schools
             }
@@ -370,13 +407,11 @@ def run_ct(problem: Problem) -> tuple[Matching, MechanismTrace]:
             if not clinches:
                 break
             record.clinch_rounds.append(ClinchRound(round_no, guarantees, clinches))
-            _execute(record, assignment, capacity, clinches)
+            ptrs.execute(record, clinches)
             unclinched = [i for i in unclinched if i not in assignment]
         # one trading round among everyone left (excluded students included)
-        student_ptr = _trade(problem, record, assignment, capacity, unclinched, unclinched)
-        pointed_last_trading = {
-            i: (None if p is SELF else p) for i, p in student_ptr.items()
-        }
+        pointed_last_trading = {i: ptrs.ptr[i] for i in unclinched}
+        ptrs.trade(record)
         remaining = [i for i in remaining if i not in assignment]
         steps.append(record)
         if not record.matches:
@@ -417,8 +452,10 @@ def run_ettc(problem: Problem) -> tuple[Matching, MechanismTrace]:
             holders.setdefault(s, []).append(i)
 
         # pointing: pair (i, s) points at the pair holding a seat at i's best
-        # available school whose student ranks highest in s's priority order
+        # available school whose student ranks highest in s's priority order;
+        # that holder depends only on (s, best school), so it is found once
         ptr: dict = {}
+        holder_at: dict = {}
         self_removed = []
         for i, s in pairs:
             target_school = None
@@ -429,7 +466,10 @@ def run_ettc(problem: Problem) -> tuple[Matching, MechanismTrace]:
             if target_school is None:
                 self_removed.append(i)
                 continue
-            holder = _top_priority(problem, s, holders[target_school], 1)[0]
+            key = (s, target_school)
+            holder = holder_at.get(key)
+            if holder is None:
+                holder = holder_at[key] = _top_priority(problem, s, holders[target_school], 1)[0]
             ptr[(i, s)] = (holder, target_school)
 
         # students with no acceptable inheritable seat leave unmatched

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 from schoolchoice import (
     SELF,
@@ -177,6 +178,26 @@ class TestMechanismInvariants:
                 _, trace = run_mechanism(name, p)
                 for st in trace.steps:
                     assert all(q >= 0 for q in st.capacities.values())
+
+
+class TestMarketScale:
+    """Trading keeps one pointer state across its steps, so a step costs
+    about the schools plus the students it moves, not students x schools."""
+
+    def test_ttc_and_fct_on_5000_students(self):
+        rng = random.Random(2212)
+        students = tuple(f"i{k}" for k in range(1, 5001))
+        schools = tuple(f"s{k}" for k in range(1, 21))
+        prefs = {i: tuple(rng.sample(schools, 4)) for i in students}
+        prios = {s: tuple(rng.sample(students, len(students))) for s in schools}
+        p = Problem(students, schools, dict.fromkeys(schools, 250), prefs, prios)
+        for run in (run_ttc, run_fct):
+            start = time.perf_counter()
+            mu, _ = run(p)
+            elapsed = time.perf_counter() - start
+            assert elapsed < 2.0, (run.__name__, elapsed)
+            assert is_individually_rational(p, mu), run.__name__
+            assert is_non_wasteful(p, mu), run.__name__
 
 
 def all_preference_lists(schools):
