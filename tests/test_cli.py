@@ -11,7 +11,7 @@ from schoolchoice.textio import (
     parse_matching,
     serialize_instance,
 )
-from schoolchoice import build_path_to_ttc
+from schoolchoice import ValidationError, build_path_to_ttc
 
 TRADING_INSTANCE = """\
 # four students, three schools
@@ -86,6 +86,46 @@ class TestMatchingLiterals:
         with pytest.raises(InstanceParseError) as err:
             parse_matching(problem, "i1->s1, i2->s1, i3->s2")
         assert any("missing" in d for d in err.value.diagnostics)
+
+    @pytest.mark.parametrize("literal, diagnostics", [
+        # the student pattern is greedy: the split is at the last arrow
+        ("i1->s1->s2, i2->s1, i3->s2, i4->self",
+         ["unknown student 'i1->s1'", "students missing from literal: i1"]),
+        ("i1 - > s1, i2->s1, i3->s2, i4->self",
+         ["malformed term 'i1 - > s1'", "students missing from literal: i1"]),
+        ("i 1->s1, i2->s1, i3->s2, i4->self",
+         ["malformed term 'i 1->s1'", "students missing from literal: i1"]),
+        ("i1->s1, i1->s2, i2->s1, i3->s2, i4->self", ["student 'i1' assigned twice"]),
+        ("i1->s9, i2->s1, i3->s2, i4->self",
+         ["unknown school 's9'", "students missing from literal: i1"]),
+        ("i1->s1, i2->s1", ["students missing from literal: i3, i4"]),
+        (",,", ["students missing from literal: i1, i2, i3, i4"]),
+        ("", ["students missing from literal: i1, i2, i3, i4"]),
+        ("i9->s1, i1->s1 ->, i1->x, i1->s2, i2->s1",
+         ["unknown student 'i9'", "malformed term 'i1->s1 ->'", "unknown school 'x'",
+          "students missing from literal: i3, i4"]),
+    ])
+    def test_exact_diagnostics(self, literal, diagnostics):
+        problem = parse_instance(TRADING_INSTANCE)
+        with pytest.raises(InstanceParseError) as err:
+            parse_matching(problem, literal)
+        assert err.value.diagnostics == diagnostics
+
+    def test_self_is_case_insensitive(self):
+        problem = parse_instance(TRADING_INSTANCE)
+        mu = parse_matching(problem, "i1->SELF, i2->Self, i3->s2, i4->self")
+        assert mu.literal() == "i1->self, i2->self, i3->s2, i4->self"
+
+    def test_trailing_and_empty_terms_are_skipped(self):
+        problem = parse_instance(TRADING_INSTANCE)
+        mu = parse_matching(problem, "i1->s1, , i2->s1,i3->s2 , i4->self, ")
+        assert mu.literal() == "i1->s1, i2->s1, i3->s2, i4->self"
+
+    def test_over_quota_literal(self):
+        problem = parse_instance(TRADING_INSTANCE)
+        with pytest.raises(ValidationError) as err:
+            parse_matching(problem, "i1->s2, i2->s2, i3->s1, i4->s1")
+        assert str(err.value) == "school 's2' holds 2 students, quota is 1"
 
 
 class TestCommands:

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -81,6 +82,113 @@ class TestCanEnforce:
             trading_instance, step.source, step.target,
             Coalition({"i2", "i3"}, {"s2"}),
         )
+
+
+def oracle_can_enforce(problem, a, b, coalition):
+    """`can_enforce` read straight from its docstring, on per-school roster
+    frozensets."""
+    if a == b or (not coalition.students and not coalition.schools):
+        return False
+    for s in problem.schools:
+        old = frozenset(i for i in problem.students if a.school_of(i) == s)
+        new = frozenset(i for i in problem.students if b.school_of(i) == s)
+        if new - old:
+            if s not in coalition.schools or not new - old <= coalition.students:
+                return False
+        elif old - new:
+            if s not in coalition.schools and not old - new <= coalition.students:
+                return False
+    return True
+
+
+def oracle_school_move_admissible(problem, s, a, b):
+    """`school_move_admissible` from its docstring: the newcomers fit beside
+    the old roster, or the leavers map one-to-one onto higher-priority
+    newcomers (tried over every injection)."""
+    old = [i for i in problem.students if a.school_of(i) == s]
+    new = [i for i in problem.students if b.school_of(i) == s]
+    joiners = [i for i in new if i not in old]
+    leavers = [i for i in old if i not in new]
+    if len(old) + len(joiners) <= problem.quota(s):
+        return True
+    return any(
+        all(problem.higher_priority(s, j, i) for i, j in zip(leavers, pick))
+        for pick in itertools.permutations(joiners, len(leavers))
+    )
+
+
+def random_move(rng, p, uni):
+    """A random (a, b, coalition) triple over the universe: equal endpoints,
+    rosters that only shrink, or any pair, with an empty coalition, the
+    agents the move touches (some dropped, extra members added), or random
+    subsets of all agents."""
+    a = rng.choice(uni)
+    kind = rng.randrange(5)
+    if kind == 0:
+        b = a
+    elif kind == 1:
+        seated = [i for i in p.students if a.school_of(i) is not SELF]
+        gone = rng.sample(seated, rng.randint(1, len(seated))) if seated else []
+        b = a.reassign({i: SELF for i in gone})
+    else:
+        b = rng.choice(uni)
+    moved = [i for i in p.students if a.school_of(i) != b.school_of(i)]
+    touched = {x for i in moved for x in (a.school_of(i), b.school_of(i)) if x is not SELF}
+    shape = rng.randrange(4)
+    if shape == 0:
+        return a, b, Coalition(set(), set())
+    if shape == 3:
+        return a, b, Coalition(
+            {i for i in p.students if rng.random() < 0.5},
+            {s for s in p.schools if rng.random() < 0.5},
+        )
+    students = {i for i in moved if rng.random() < 0.85}
+    schools = {s for s in touched if rng.random() < 0.85}
+    if shape == 2:
+        students |= {i for i in p.students if rng.random() < 0.4}
+        schools |= {s for s in p.schools if rng.random() < 0.4}
+    return a, b, Coalition(students, schools)
+
+
+class TestCanEnforceOracle:
+    def test_agrees_with_the_docstring_on_random_moves(self):
+        rng = random.Random(1010)
+        verdicts = {True: 0, False: 0}
+        admits = {True: 0, False: 0}
+        shrinking = 0
+        for _ in range(60):
+            p = random_problem(rng, max_students=5, max_schools=3)
+            uni = enumerate_matchings(p)
+            for _ in range(40):
+                a, b, co = random_move(rng, p, uni)
+                got = can_enforce(p, a, b, co)
+                assert got == oracle_can_enforce(p, a, b, co), (a, b, co)
+                verdicts[got] += 1
+                shrinking += a != b and all(
+                    a.school_of(i) == b.school_of(i) or b.school_of(i) is SELF
+                    for i in p.students
+                )
+                for s in p.schools:
+                    admits[school_move_admissible(p, s, a, b)] += 1
+                    assert school_move_admissible(p, s, a, b) == (
+                        oracle_school_move_admissible(p, s, a, b)
+                    ), (s, a, b)
+        assert min(verdicts.values()) > 300 and shrinking > 300
+        assert min(admits.values()) > 100
+
+    def test_equal_endpoints_and_empty_coalitions(self, trading_instance, walkthrough):
+        step = walkthrough.steps[0]
+        everyone = Coalition(set(trading_instance.students), set(trading_instance.schools))
+        assert not can_enforce(trading_instance, step.source, step.source, everyone)
+        assert not can_enforce(trading_instance, step.source, step.target, Coalition(set(), set()))
+
+    def test_shrinking_roster_needs_the_school_or_every_leaver(self, trading_instance):
+        a = matching_of(trading_instance, i1="s1", i2="s1", i3="s2", i4="s3")
+        b = matching_of(trading_instance, i1="self", i2="self", i3="s2", i4="s3")
+        assert can_enforce(trading_instance, a, b, Coalition({"i1", "i2"}, set()))
+        assert can_enforce(trading_instance, a, b, Coalition(set(), {"s1"}))
+        assert can_enforce(trading_instance, a, b, Coalition({"i3"}, {"s1", "s3"}))
+        assert not can_enforce(trading_instance, a, b, Coalition({"i1", "i3"}, {"s2"}))
 
 
 class TestSchoolMoveAdmissible:

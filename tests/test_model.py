@@ -46,6 +46,26 @@ class TestValidateProblem:
         diags = validate_problem(p)
         assert any("not a permutation" in d for d in diags)
 
+    @pytest.mark.parametrize("students, order, diagnostics", [
+        (("i1", "i2"), ("i1",), ["priority of 's1' is not a permutation of the students"]),
+        (("i1", "i2"), ("i1", "i9"), ["priority of 's1' is not a permutation of the students"]),
+        (("i1", "i2"), ("i1", "i1"), ["priority of 's1' is not a permutation of the students"]),
+        (("i1", "i2"), ("i2", "i1", "i2"),
+         ["priority of 's1' is not a permutation of the students"]),
+        # a student list with duplicates is compared as a sorted multiset
+        (("i1", "i1", "i2"), ("i1", "i1", "i2"), ["duplicate student identifier 'i1'"]),
+        (("i1", "i1", "i2"), ("i1", "i2", "i2"),
+         ["duplicate student identifier 'i1'",
+          "priority of 's1' is not a permutation of the students"]),
+        (("i1", "i1", "i2"), ("i1", "i2"),
+         ["duplicate student identifier 'i1'",
+          "priority of 's1' is not a permutation of the students"]),
+        (("i1", "i2"), ("i2", "i1"), []),
+    ])
+    def test_permutation_diagnostics(self, students, order, diagnostics):
+        p = Problem(students, ("s1",), {"s1": 1}, {i: ("s1",) for i in students}, {"s1": order})
+        assert validate_problem(p) == diagnostics
+
     def test_zero_quota(self):
         p = Problem(
             ("i1",), ("s1",), {"s1": 0}, {"i1": ("s1",)}, {"s1": ("i1",)}
@@ -125,6 +145,43 @@ class TestMatchingInvariants:
         for s in trading_instance.schools:
             for i in mu.roster(s):
                 assert mu.school_of(i) == s
+
+
+def student_view_problems(rng, count):
+    """Seeded random problems, each with one student whose list is empty."""
+    for _ in range(count):
+        p = random_problem(rng, max_students=5, max_schools=3)
+        prefs = dict(p.preferences)
+        prefs[rng.choice(p.students)] = ()
+        yield Problem(p.students, p.schools, p.quotas, prefs, p.priorities)
+
+
+class TestMatchingViews:
+    def test_views_match_per_student_definitions(self):
+        rng = random.Random(4242)
+        seen_self = 0
+        for p in student_view_problems(rng, 40):
+            m = len(p.schools)
+            for mu in enumerate_matchings(p):
+                seat = {
+                    i: SELF if k == m else p.schools[k] for i, k in zip(p.students, mu._assign)
+                }
+                seen_self += SELF in seat.values()
+                assert mu.assignment == seat
+                assert all(mu.school_of(i) is seat[i] for i in p.students)
+                rosters = {}
+                for s in p.schools:
+                    members = frozenset(i for i in p.students if seat[i] == s)
+                    assert mu.roster(s) == members
+                    # built in student order, so iteration order matches too
+                    assert list(mu.roster(s)) == list(members)
+                    rosters[s] = members
+                assert mu.rosters == rosters
+                assert mu.literal() == ", ".join(
+                    f"{i}->{'self' if seat[i] is SELF else seat[i]}" for i in p.students
+                )
+                assert p.matching(seat) == mu
+        assert seen_self > 1000
 
 
 class TestIndividualRationality:
