@@ -57,10 +57,16 @@ No search calls `edge` per pair.  Everything is plain Python; no numpy.
 
 Consecutive searches on one (problem, universe) share one oracle and its memos,
 kept alive (|U|²-bit `direct` masks too) until a search elsewhere replaces it.
+
+The checkers work on assignment vectors too, with no per-school roster scan:
+one diff of a move's two vectors gives each touched school its joiners and
+leavers, and `can_enforce` and the schools' admission test share it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 from typing import Iterable, Sequence
 
 from .model import (
@@ -204,6 +210,27 @@ def _school_verdict(
     return BLOCKED
 
 
+def _move_diff(a: Matching, b: Matching) -> dict:
+    """Per school index the move a -> b touches, its joiners and its leavers
+    (student indices, ascending), from one diff of the assignment vectors.
+    Empty exactly when a == b."""
+    xa, xb, m = a._assign, b._assign, len(a.problem.schools)
+    moves: dict = {}
+    for i in compress(range(len(xa)), map(ne, xa, xb)):
+        if xb[i] != m:
+            moves.setdefault(xb[i], ([], []))[0].append(i)
+        if xa[i] != m:
+            moves.setdefault(xa[i], ([], []))[1].append(i)
+    return moves
+
+
+def _admits(problem: Problem, s: str, a: Matching, moves: dict) -> bool:
+    """`school_move_admissible` on the move's diff."""
+    c = problem._cidx[s]
+    quota, prio, held = problem._quota_vec[c], problem._prio_rank[c], a._assign.count(c)
+    return _school_verdict(quota, prio, held, *moves.get(c, ((), ()))) != BLOCKED
+
+
 def school_move_admissible(problem: Problem, s: str, a: Matching, b: Matching) -> bool:
     """Whether school s can accept its newcomers in the move a -> b.
 
@@ -211,23 +238,23 @@ def school_move_admissible(problem: Problem, s: str, a: Matching, b: Matching) -
     otherwise every departing student must be replaced by a distinct
     newcomer with higher priority.
     """
-    c = problem._cidx[s]
-    joiners, leavers = [], []
-    for i, (xa, xb) in enumerate(zip(a._assign, b._assign)):
-        if xa != xb:
-            if xb == c:
-                joiners.append(i)
-            elif xa == c:
-                leavers.append(i)
-    verdict = _school_verdict(
-        problem._quota_vec[c], problem._prio_rank[c], a._assign.count(c), joiners, leavers
-    )
-    return verdict != BLOCKED
+    return _admits(problem, s, a, _move_diff(a, b))
 
 
-def can_enforce(
-    problem: Problem, a: Matching, b: Matching, coalition: Coalition
-) -> bool:
+def _enforces(problem: Problem, moves: dict, coalition: Coalition) -> bool:
+    """`can_enforce` on the diff of a move with a != b and a non-empty coalition."""
+    name = problem.students.__getitem__
+    for c, (joiners, leavers) in moves.items():
+        inside = problem.schools[c] in coalition.schools
+        if joiners:
+            if not inside or not coalition.students.issuperset(map(name, joiners)):
+                return False
+        elif not inside and not coalition.students.issuperset(map(name, leavers)):
+            return False
+    return True
+
+
+def can_enforce(problem: Problem, a: Matching, b: Matching, coalition: Coalition) -> bool:
     """Whether the coalition can transform matching a into matching b.
 
     For every school gaining a newcomer, the school and all its newcomers
@@ -235,21 +262,8 @@ def can_enforce(
     the school itself or all of its departing students must be in it.
     Extra members are permitted.
     """
-    if a == b or coalition.is_empty():
-        return False
-    for s in problem.schools:
-        old, new = a.roster(s), b.roster(s)
-        if old == new:
-            continue
-        joiners = new - old
-        if joiners:
-            if s not in coalition.schools or not joiners <= coalition.students:
-                return False
-        else:
-            leavers = old - new
-            if s not in coalition.schools and not leavers <= coalition.students:
-                return False
-    return True
+    moves = _move_diff(a, b)
+    return bool(moves) and not coalition.is_empty() and _enforces(problem, moves, coalition)
 
 
 class _EdgeOracle:
@@ -553,12 +567,14 @@ def _step_violation(
     """
     if not coalition.students:
         return "coalition has no student"
-    if not can_enforce(problem, a, b, coalition):
+    moves = _move_diff(a, b)
+    if not moves or not _enforces(problem, moves, coalition):
         return "coalition cannot enforce the move"
     strict = False
     for i in sorted(coalition.students):
-        ra = problem.pref_rank(i, look.school_of(i))
-        rb = problem.pref_rank(i, a.school_of(i))
+        k = problem._sidx[i]
+        row = problem._pref_rank[k]
+        ra, rb = row[look._assign[k]], row[a._assign[k]]
         if ra > rb:
             return f"student {i} does not weakly improve"
         if ra < rb:
@@ -566,7 +582,7 @@ def _step_violation(
     if not strict:
         return "no strict improver in the coalition"
     for s in sorted(coalition.schools):
-        if not school_move_admissible(problem, s, a, b):
+        if not _admits(problem, s, a, moves):
             return f"school {s} cannot admit its newcomers"
     return None
 

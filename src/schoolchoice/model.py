@@ -69,6 +69,7 @@ class Problem:
     _pref_rank: tuple = field(init=False, repr=False, compare=False)
     _prio_rank: tuple = field(init=False, repr=False, compare=False)
     _quota_vec: tuple = field(init=False, repr=False, compare=False)
+    _options: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "students", tuple(self.students))
@@ -84,6 +85,8 @@ class Problem:
         cidx = {s: k for k, s in enumerate(self.schools)}
         object.__setattr__(self, "_sidx", sidx)
         object.__setattr__(self, "_cidx", cidx)
+        # what an assignment-vector entry stands for: a school, or m for SELF
+        object.__setattr__(self, "_options", self.schools + (SELF,))
         n, m = len(self.students), len(self.schools)
         # rank over schools + SELF: listed school -> its position, SELF -> number
         # listed, any unlisted school -> one past SELF (all unlisted tie).
@@ -193,12 +196,15 @@ def validate_problem(problem: Problem) -> list[str]:
     for i in problem.preferences:
         if i not in student_set:
             diags.append(f"preference list for unknown student {i!r}")
+    # with distinct students a permutation has their number and set; else compare sorted
+    ranked = sorted(problem.students) if len(student_set) < len(problem.students) else None
     for s in problem.schools:
         order = problem.priorities.get(s)
         if order is None:
             diags.append(f"no priority order for school {s!r}")
             continue
-        if sorted(order) != sorted(problem.students):
+        if (sorted(order) != ranked if ranked else
+                len(order) != len(student_set) or set(order) != student_set):
             diags.append(f"priority of {s!r} is not a permutation of the students")
     for s in problem.priorities:
         if s not in school_set:
@@ -217,29 +223,23 @@ class Matching:
     __slots__ = ("problem", "_assign", "_hash")
 
     def __init__(self, problem: Problem, assignment: Mapping[str, object]):
-        extra = set(assignment) - set(problem.students)
+        extra = assignment.keys() - problem._sidx.keys()
         if extra:
             raise ValidationError(f"assignment mentions unknown students {sorted(extra)}")
-        vec = []
-        m = len(problem.schools)
-        counts = [0] * m
+        cidx, m = problem._cidx, len(problem.schools)
+        vec, counts = [], [0] * (m + 1)
         for i in problem.students:
             if i not in assignment:
                 raise ValidationError(f"student {i!r} missing from assignment")
             a = assignment[i]
-            if a is SELF or a is None:
-                vec.append(m)
-            else:
-                if a not in problem._cidx:
-                    raise ValidationError(f"student {i!r} assigned to unknown school {a!r}")
-                k = problem._cidx[a]
-                counts[k] += 1
-                vec.append(k)
-        for k, s in enumerate(problem.schools):
-            if counts[k] > problem._quota_vec[k]:
-                raise ValidationError(
-                    f"school {s!r} holds {counts[k]} students, quota is {problem._quota_vec[k]}"
-                )
+            k = m if a is SELF or a is None else cidx.get(a)
+            if k is None:
+                raise ValidationError(f"student {i!r} assigned to unknown school {a!r}")
+            counts[k] += 1
+            vec.append(k)
+        for s, held, quota in zip(problem.schools, counts, problem._quota_vec):
+            if held > quota:
+                raise ValidationError(f"school {s!r} holds {held} students, quota is {quota}")
         self.problem = problem
         self._assign = tuple(vec)
         self._hash = hash(self._assign)
@@ -255,27 +255,21 @@ class Matching:
     # --- views -------------------------------------------------------------
 
     def school_of(self, i: str):
-        k = self._assign[self.problem._sidx[i]]
-        return SELF if k == len(self.problem.schools) else self.problem.schools[k]
+        return self.problem._options[self._assign[self.problem._sidx[i]]]
 
     @property
     def assignment(self) -> dict:
-        return {i: self.school_of(i) for i in self.problem.students}
+        options = self.problem._options
+        return {i: options[k] for i, k in zip(self.problem.students, self._assign)}
 
     def roster(self, s: str) -> frozenset:
+        """The students at s, added in student order."""
         k = self.problem._cidx[s]
-        return frozenset(
-            i for i, a in zip(self.problem.students, self._assign) if a == k
-        )
+        return frozenset([i for i, x in zip(self.problem.students, self._assign) if x == k])
 
     @property
     def rosters(self) -> dict:
-        out = {s: set() for s in self.problem.schools}
-        m = len(self.problem.schools)
-        for i, a in zip(self.problem.students, self._assign):
-            if a != m:
-                out[self.problem.schools[a]].add(i)
-        return {s: frozenset(v) for s, v in out.items()}
+        return {s: self.roster(s) for s in self.problem.schools}
 
     def reassign(self, changes: Mapping[str, object]) -> "Matching":
         """New matching with the given students reassigned (validated)."""
@@ -284,11 +278,8 @@ class Matching:
         return Matching(self.problem, new)
 
     def literal(self) -> str:
-        parts = []
-        for i in self.problem.students:
-            a = self.school_of(i)
-            parts.append(f"{i}->{'self' if a is SELF else a}")
-        return ", ".join(parts)
+        names = self.problem.schools + ("self",)
+        return ", ".join([f"{i}->{names[k]}" for i, k in zip(self.problem.students, self._assign)])
 
     # --- protocol ----------------------------------------------------------
 
@@ -316,8 +307,7 @@ def enumerate_matchings(
     regardless of her preferences; individual rationality is a separate
     predicate.  Raises CapacityError once more than `cap` matchings exist.
     """
-    out = list(iter_matchings(problem, cap=cap))
-    return out
+    return list(iter_matchings(problem, cap=cap))
 
 
 def iter_matchings(
@@ -353,22 +343,14 @@ def iter_matchings(
 
 def is_individually_rational(problem: Problem, mu: Matching) -> bool:
     """True iff every matched student finds her school acceptable."""
-    for i in problem.students:
-        a = mu.school_of(i)
-        if a is not SELF and not problem.acceptable(i, a):
-            return False
-    return True
+    m = len(problem.schools)  # a school ranks above SELF exactly when it is listed
+    return all(k == m or row[k] < row[m] for row, k in zip(problem._pref_rank, mu._assign))
 
 
 def is_non_wasteful(problem: Problem, mu: Matching) -> bool:
     """True iff no student prefers a school with a free seat to her assignment."""
-    rosters = mu.rosters
-    for i in problem.students:
-        own = mu.school_of(i)
-        for s in problem.schools:
-            if problem.prefers(i, s, own) and len(rosters[s]) < problem.quota(s):
-                return False
-    return True
+    free = [k for k, q in enumerate(problem._quota_vec) if mu._assign.count(k) < q]
+    return not any(r[k] < r[x] for r, x in zip(problem._pref_rank, mu._assign) for k in free)
 
 
 def justified_envy_witnesses(problem: Problem, mu: Matching) -> list[tuple[str, str, str]]:
@@ -404,14 +386,9 @@ def is_stable(problem: Problem, mu: Matching) -> bool:
 
 def pareto_dominates(problem: Problem, mu_new: Matching, mu_old: Matching) -> bool:
     """True iff every student weakly prefers mu_new and someone strictly does."""
-    strict = False
-    for i in problem.students:
-        a, b = mu_new.school_of(i), mu_old.school_of(i)
-        if problem.prefers(i, b, a):
-            return False
-        if problem.prefers(i, a, b):
-            strict = True
-    return strict
+    rows = problem._pref_rank
+    ranks = [(r[x], r[y]) for r, x, y in zip(rows, mu_new._assign, mu_old._assign)]
+    return all(a <= b for a, b in ranks) and any(a < b for a, b in ranks)
 
 
 def is_pareto_efficient(

@@ -145,20 +145,25 @@ def serialize_instance(problem: Problem) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: One `student->school` term of a matching literal.
+_TERM = re.compile(r"(\S+)\s*->\s*(\S+)")
+
+
 def parse_matching(problem: Problem, literal: str) -> Matching:
     """Parse a `student->school` matching literal against a problem."""
     diags = []
     assignment: dict = {}
+    sidx, cidx = problem._sidx, problem._cidx
     for term in literal.split(","):
         term = term.strip()
         if not term:
             continue
-        m = re.fullmatch(r"(\S+)\s*->\s*(\S+)", term)
+        m = _TERM.fullmatch(term)
         if not m:
             diags.append(f"malformed term {term!r}")
             continue
-        i, target = m.group(1), m.group(2)
-        if i not in problem._sidx:
+        i, target = m.groups()
+        if i not in sidx:
             diags.append(f"unknown student {i!r}")
             continue
         if i in assignment:
@@ -166,7 +171,7 @@ def parse_matching(problem: Problem, literal: str) -> Matching:
             continue
         if target.lower() == "self":
             assignment[i] = SELF
-        elif target in problem._cidx:
+        elif target in cidx:
             assignment[i] = target
         else:
             diags.append(f"unknown school {target!r}")

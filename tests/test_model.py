@@ -183,6 +183,24 @@ class TestMatchingViews:
                 assert p.matching(seat) == mu
         assert seen_self > 1000
 
+    def test_predicates_match_per_student_definitions(self):
+        rng = random.Random(4343)
+        for p in student_view_problems(rng, 25):
+            uni = enumerate_matchings(p)
+            for mu in uni:
+                seat = mu.assignment
+                assert is_individually_rational(p, mu) == all(
+                    seat[i] is SELF or p.acceptable(i, seat[i]) for i in p.students
+                )
+                assert is_non_wasteful(p, mu) == (not any(
+                    p.prefers(i, s, seat[i]) and len(mu.roster(s)) < p.quota(s)
+                    for i in p.students for s in p.schools
+                ))
+                other = rng.choice(uni).assignment
+                weak = all(not p.prefers(i, seat[i], other[i]) for i in p.students)
+                strict = any(p.prefers(i, other[i], seat[i]) for i in p.students)
+                assert pareto_dominates(p, p.matching(other), mu) == (weak and strict)
+
 
 class TestIndividualRationality:
     def test_trading_outcome(self, trading_instance, trading_goldens):
