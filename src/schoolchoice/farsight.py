@@ -214,7 +214,8 @@ def _move_diff(a: Matching, b: Matching) -> dict:
     """Per school index the move a -> b touches, its joiners and its leavers
     (student indices, ascending), from one diff of the assignment vectors.
     Empty exactly when a == b."""
-    xa, xb, m = a._assign, b._assign, len(a.problem.schools)
+    xa, xb = a._assign, b._assign
+    m = len(a.problem.schools)
     moves: dict = {}
     for i in compress(range(len(xa)), map(ne, xa, xb)):
         if xb[i] != m:
@@ -227,8 +228,11 @@ def _move_diff(a: Matching, b: Matching) -> dict:
 def _admits(problem: Problem, s: str, a: Matching, moves: dict) -> bool:
     """`school_move_admissible` on the move's diff."""
     c = problem._cidx[s]
-    quota, prio, held = problem._quota_vec[c], problem._prio_rank[c], a._assign.count(c)
-    return _school_verdict(quota, prio, held, *moves.get(c, ((), ()))) != BLOCKED
+    joiners, leavers = moves.get(c, ((), ()))
+    verdict = _school_verdict(
+        problem._quota_vec[c], problem._prio_rank[c], a._assign.count(c), joiners, leavers
+    )
+    return verdict != BLOCKED
 
 
 def school_move_admissible(problem: Problem, s: str, a: Matching, b: Matching) -> bool:
@@ -254,7 +258,9 @@ def _enforces(problem: Problem, moves: dict, coalition: Coalition) -> bool:
     return True
 
 
-def can_enforce(problem: Problem, a: Matching, b: Matching, coalition: Coalition) -> bool:
+def can_enforce(
+    problem: Problem, a: Matching, b: Matching, coalition: Coalition
+) -> bool:
     """Whether the coalition can transform matching a into matching b.
 
     For every school gaining a newcomer, the school and all its newcomers
@@ -574,7 +580,8 @@ def _step_violation(
     for i in sorted(coalition.students):
         k = problem._sidx[i]
         row = problem._pref_rank[k]
-        ra, rb = row[look._assign[k]], row[a._assign[k]]
+        ra = row[look._assign[k]]
+        rb = row[a._assign[k]]
         if ra > rb:
             return f"student {i} does not weakly improve"
         if ra < rb:

@@ -7,6 +7,7 @@ types are immutable after construction; predicates are pure functions.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -196,15 +197,15 @@ def validate_problem(problem: Problem) -> list[str]:
     for i in problem.preferences:
         if i not in student_set:
             diags.append(f"preference list for unknown student {i!r}")
-    # with distinct students a permutation has their number and set; else compare sorted
-    ranked = sorted(problem.students) if len(student_set) < len(problem.students) else None
+    # a permutation holds each student as often as the student list does; Counter's
+    # own == runs in Python, its items() views compare in C
+    counted = Counter(problem.students).items()
     for s in problem.schools:
         order = problem.priorities.get(s)
         if order is None:
             diags.append(f"no priority order for school {s!r}")
             continue
-        if (sorted(order) != ranked if ranked else
-                len(order) != len(student_set) or set(order) != student_set):
+        if Counter(order).items() != counted:
             diags.append(f"priority of {s!r} is not a permutation of the students")
     for s in problem.priorities:
         if s not in school_set:
@@ -226,8 +227,10 @@ class Matching:
         extra = assignment.keys() - problem._sidx.keys()
         if extra:
             raise ValidationError(f"assignment mentions unknown students {sorted(extra)}")
-        cidx, m = problem._cidx, len(problem.schools)
-        vec, counts = [], [0] * (m + 1)
+        cidx = problem._cidx
+        m = len(problem.schools)
+        vec = []
+        counts = [0] * (m + 1)
         for i in problem.students:
             if i not in assignment:
                 raise ValidationError(f"student {i!r} missing from assignment")
@@ -269,7 +272,11 @@ class Matching:
 
     @property
     def rosters(self) -> dict:
-        return {s: self.roster(s) for s in self.problem.schools}
+        """Every school's roster, in one pass; each added in student order as in roster."""
+        members = [[] for _ in self.problem._options]
+        for i, k in zip(self.problem.students, self._assign):
+            members[k].append(i)
+        return {s: frozenset(v) for s, v in zip(self.problem.schools, members)}
 
     def reassign(self, changes: Mapping[str, object]) -> "Matching":
         """New matching with the given students reassigned (validated)."""
@@ -307,7 +314,8 @@ def enumerate_matchings(
     regardless of her preferences; individual rationality is a separate
     predicate.  Raises CapacityError once more than `cap` matchings exist.
     """
-    return list(iter_matchings(problem, cap=cap))
+    out = list(iter_matchings(problem, cap=cap))
+    return out
 
 
 def iter_matchings(
@@ -343,14 +351,22 @@ def iter_matchings(
 
 def is_individually_rational(problem: Problem, mu: Matching) -> bool:
     """True iff every matched student finds her school acceptable."""
-    m = len(problem.schools)  # a school ranks above SELF exactly when it is listed
-    return all(k == m or row[k] < row[m] for row, k in zip(problem._pref_rank, mu._assign))
+    for i in problem.students:
+        a = mu.school_of(i)
+        if a is not SELF and not problem.acceptable(i, a):
+            return False
+    return True
 
 
 def is_non_wasteful(problem: Problem, mu: Matching) -> bool:
     """True iff no student prefers a school with a free seat to her assignment."""
-    free = [k for k, q in enumerate(problem._quota_vec) if mu._assign.count(k) < q]
-    return not any(r[k] < r[x] for r, x in zip(problem._pref_rank, mu._assign) for k in free)
+    rosters = mu.rosters
+    for i in problem.students:
+        own = mu.school_of(i)
+        for s in problem.schools:
+            if problem.prefers(i, s, own) and len(rosters[s]) < problem.quota(s):
+                return False
+    return True
 
 
 def justified_envy_witnesses(problem: Problem, mu: Matching) -> list[tuple[str, str, str]]:
@@ -386,9 +402,14 @@ def is_stable(problem: Problem, mu: Matching) -> bool:
 
 def pareto_dominates(problem: Problem, mu_new: Matching, mu_old: Matching) -> bool:
     """True iff every student weakly prefers mu_new and someone strictly does."""
-    rows = problem._pref_rank
-    ranks = [(r[x], r[y]) for r, x, y in zip(rows, mu_new._assign, mu_old._assign)]
-    return all(a <= b for a, b in ranks) and any(a < b for a, b in ranks)
+    strict = False
+    for i in problem.students:
+        a, b = mu_new.school_of(i), mu_old.school_of(i)
+        if problem.prefers(i, b, a):
+            return False
+        if problem.prefers(i, a, b):
+            strict = True
+    return strict
 
 
 def is_pareto_efficient(

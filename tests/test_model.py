@@ -52,7 +52,7 @@ class TestValidateProblem:
         (("i1", "i2"), ("i1", "i1"), ["priority of 's1' is not a permutation of the students"]),
         (("i1", "i2"), ("i2", "i1", "i2"),
          ["priority of 's1' is not a permutation of the students"]),
-        # a student list with duplicates is compared as a sorted multiset
+        # a student list with duplicates is compared as a multiset
         (("i1", "i1", "i2"), ("i1", "i1", "i2"), ["duplicate student identifier 'i1'"]),
         (("i1", "i1", "i2"), ("i1", "i2", "i2"),
          ["duplicate student identifier 'i1'",
@@ -177,29 +177,12 @@ class TestMatchingViews:
                     assert list(mu.roster(s)) == list(members)
                     rosters[s] = members
                 assert mu.rosters == rosters
+                assert all(list(mu.rosters[s]) == list(r) for s, r in rosters.items())
                 assert mu.literal() == ", ".join(
                     f"{i}->{'self' if seat[i] is SELF else seat[i]}" for i in p.students
                 )
                 assert p.matching(seat) == mu
         assert seen_self > 1000
-
-    def test_predicates_match_per_student_definitions(self):
-        rng = random.Random(4343)
-        for p in student_view_problems(rng, 25):
-            uni = enumerate_matchings(p)
-            for mu in uni:
-                seat = mu.assignment
-                assert is_individually_rational(p, mu) == all(
-                    seat[i] is SELF or p.acceptable(i, seat[i]) for i in p.students
-                )
-                assert is_non_wasteful(p, mu) == (not any(
-                    p.prefers(i, s, seat[i]) and len(mu.roster(s)) < p.quota(s)
-                    for i in p.students for s in p.schools
-                ))
-                other = rng.choice(uni).assignment
-                weak = all(not p.prefers(i, seat[i], other[i]) for i in p.students)
-                strict = any(p.prefers(i, other[i], seat[i]) for i in p.students)
-                assert pareto_dominates(p, p.matching(other), mu) == (weak and strict)
 
 
 class TestIndividualRationality:
