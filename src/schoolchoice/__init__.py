@@ -16,7 +16,6 @@ from .model import (
     justified_envy_witnesses,
     pareto_dominates,
     sort_matchings,
-    validate_problem,
 )
 from .mechanisms import (
     MECHANISMS,

@@ -22,7 +22,6 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import count
 
 from .model import SELF, Matching, Problem
 
@@ -140,12 +139,7 @@ def _find_cycles(problem: Problem, succ: dict, top: dict, selfs) -> list[Cycle]:
 
 
 def _top_priority(problem: Problem, s: str, pool, k: int) -> tuple:
-    """The k highest-priority students of pool at school s, in pool order.
-
-    A student qualifies when fewer than k members of the pool have strictly
-    higher priority, so students tied at the cut (possible only when a
-    priority order is not a full permutation) all qualify.
-    """
+    """The k highest-priority students of pool at school s, in pool order."""
     if k <= 0 or not pool:
         return ()
     row, sidx = problem._prio_rank[problem._cidx[s]], problem._sidx
@@ -182,21 +176,16 @@ class _Pointers:
         self._pos = dict.fromkeys(problem.students, -1)
         self._pointing: dict = {s: [] for s in problem.schools}
         self._selfs: list = []
-        # each school's order of all students by (priority rank, index): its
-        # first pool member (pools keep declared order) is exactly
+        # a school's first pool member in its priority order is exactly
         # _top_priority(problem, s, pool, 1)[0]
-        everyone = problem.students
-        self._order = {
-            s: [everyone[k] for k in sorted(range(len(everyone)), key=row.__getitem__)]
-            for s, row in zip(problem.schools, problem._prio_rank)
-        }
+        self._order = problem.priorities
         self._top = dict.fromkeys(problem.schools, 0)
-        for i in everyone:
+        for i in problem.students:
             self._advance(i)
 
     def _advance(self, i: str) -> None:
         prefs, k = self.problem.preferences[i], self._pos[i] + 1
-        while k < len(prefs) and self.capacity.get(prefs[k], 0) < 1:
+        while k < len(prefs) and self.capacity[prefs[k]] < 1:
             k += 1
         self._pos[i] = k
         if k < len(prefs):
@@ -262,22 +251,21 @@ def run_ttc(problem: Problem) -> tuple[Matching, MechanismTrace]:
 
 def run_da(problem: Problem) -> Matching:
     next_choice = {i: 0 for i in problem.students}
-    # per school, a heap of (-priority rank, -arrival, student): its root is
-    # the holder rejected first, the latest arrival among tied ranks
+    # per school, a heap of (-priority rank, student): its root is the
+    # lowest-priority holder, the one rejected first
     held: dict = {s: [] for s in problem.schools}
     free = deque(problem.students)
-    arrivals = count()
     while free:
         i = free.popleft()
         prefs = problem.preferences[i]
         while next_choice[i] < len(prefs):
             s = prefs[next_choice[i]]
             holders = held[s]
-            entry = (-problem.priority_rank(s, i), -next(arrivals), i)
+            entry = (-problem.priority_rank(s, i), i)
             if len(holders) < problem.quota(s):
                 heapq.heappush(holders, entry)
                 break
-            rejected = heapq.heappushpop(holders, entry)[2]
+            rejected = heapq.heappushpop(holders, entry)[1]
             if rejected == i:
                 next_choice[i] += 1
                 continue
@@ -287,7 +275,7 @@ def run_da(problem: Problem) -> Matching:
         # student with exhausted list stays unmatched
     assignment = {i: SELF for i in problem.students}
     for s, holders in held.items():
-        for _, _, i in holders:
+        for _, i in holders:
             assignment[i] = s
     return problem.matching(assignment)
 
@@ -402,7 +390,7 @@ def run_ct(problem: Problem) -> tuple[Matching, MechanismTrace]:
                 if not prefs:
                     continue
                 top = prefs[0]  # clinch pointing ignores current capacity
-                if i in guarantees.get(top, ()):
+                if i in guarantees[top]:
                     clinches.append((i, top))
             if not clinches:
                 break

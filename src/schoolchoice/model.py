@@ -1,13 +1,14 @@
 """Problem and matching data model, feasibility and welfare predicates.
 
 A problem bundles students, schools, quotas, student preference lists and
-school priority orders.  A matching assigns every student to one school or
-to herself (the SELF sentinel), never exceeding any school quota.  All
+school priority orders, each a strict order of all students.  A matching
+assigns every student to one school or to herself (the SELF sentinel),
+never exceeding any school quota.  Both are checked when built, so every
+Problem in circulation is well formed and every Matching feasible.  All
 types are immutable after construction; predicates are pure functions.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -17,7 +18,15 @@ class SchoolChoiceError(Exception):
 
 
 class ValidationError(SchoolChoiceError):
-    """A matching or problem violates a structural invariant."""
+    """A matching or problem violates a structural invariant.
+
+    `diagnostics` holds one line per violation, in the order found; the
+    message joins them with "; ".
+    """
+
+    def __init__(self, *diagnostics: str):
+        self.diagnostics = list(diagnostics)
+        super().__init__("; ".join(diagnostics))
 
 
 class CapacityError(SchoolChoiceError):
@@ -47,15 +56,31 @@ SELF = _SelfToken()
 DEFAULT_ENUMERATION_CAP = 10**7
 
 
+def _first_positions(names: tuple) -> tuple[dict, list]:
+    """Each name's first position, and for each position the next position
+    holding the same name (len(names) if there is none)."""
+    first, after = {}, [len(names)] * len(names)
+    for k in reversed(range(len(names))):
+        after[k] = first.get(names[k], len(names))
+        first[names[k]] = k
+    return first, after
+
+
 @dataclass(frozen=True)
 class Problem:
-    """A school choice problem.
+    """A school choice problem, checked when built.
 
     students/schools are ordered; iteration order everywhere in the library
     follows the declared order, which makes every computation deterministic.
     Preference lists contain only acceptable schools, best first; schools
     missing from a list are unacceptable (ranked below staying unmatched).
-    Priorities must be full orderings of all students, highest first.
+    Priorities are strict orderings of all students, highest first.
+
+    The constructor raises ValidationError, whose `diagnostics` list every
+    violation, unless all identifiers are distinct, every school has a
+    quota of at least 1 and a priority order that is a permutation of the
+    students, every student has a list of distinct known schools, and no
+    quota, list or order is given for an unknown name.
     """
 
     students: tuple[str, ...]
@@ -73,46 +98,81 @@ class Problem:
     _options: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "students", tuple(self.students))
-        object.__setattr__(self, "schools", tuple(self.schools))
-        object.__setattr__(self, "quotas", dict(self.quotas))
-        object.__setattr__(
-            self, "preferences", {i: tuple(p) for i, p in self.preferences.items()}
-        )
-        object.__setattr__(
-            self, "priorities", {s: tuple(f) for s, f in self.priorities.items()}
-        )
-        sidx = {i: k for k, i in enumerate(self.students)}
-        cidx = {s: k for k, s in enumerate(self.schools)}
-        object.__setattr__(self, "_sidx", sidx)
-        object.__setattr__(self, "_cidx", cidx)
-        # what an assignment-vector entry stands for: a school, or m for SELF
-        object.__setattr__(self, "_options", self.schools + (SELF,))
-        n, m = len(self.students), len(self.schools)
+        students, schools = tuple(self.students), tuple(self.schools)
+        quotas = dict(self.quotas)
+        preferences = {i: tuple(p) for i, p in self.preferences.items()}
+        priorities = {s: tuple(f) for s, f in self.priorities.items()}
+        n, m = len(students), len(schools)
+        sidx, after = _first_positions(students)
+        cidx, _ = _first_positions(schools)
+        diags = [f"duplicate student identifier {i!r}" for k, i in enumerate(students)
+                 if sidx[i] != k]
+        diags += [f"duplicate school identifier {s!r}" for k, s in enumerate(schools)
+                  if cidx[s] != k]
+        diags += [f"identifier {name!r} used for both a student and a school"
+                  for name in sorted(sidx.keys() & cidx.keys())]
+        for s in schools:
+            q = quotas.get(s)
+            if q is None:
+                diags.append(f"no quota given for school {s!r}")
+            elif q < 1:
+                diags.append(f"quota of school {s!r} must be >= 1, got {q}")
+        diags += [f"quota given for unknown school {s!r}" for s in quotas if s not in cidx]
         # rank over schools + SELF: listed school -> its position, SELF -> number
         # listed, any unlisted school -> one past SELF (all unlisted tie).
         pref_rank = []
-        for i in self.students:
-            prefs = self.preferences.get(i, ())
-            row = [len(prefs) + 1] * (m + 1)
-            row[m] = len(prefs)
+        for i in students:
+            prefs = preferences.get(i)
+            if prefs is None:
+                diags.append(f"no preference list for student {i!r}")
+                continue
+            row = [len(prefs) + 1] * m + [len(prefs)]
             for pos, s in enumerate(prefs):
-                if s in cidx:
-                    row[cidx[s]] = pos
+                k = cidx.get(s)
+                if k is None:
+                    diags.append(f"preference of {i!r} lists unknown school {s!r}")
+                # a school listed before holds its earlier position in row
+                if s in prefs[:pos] if k is None else row[k] < pos:
+                    diags.append(f"preference of {i!r} lists school {s!r} twice")
+                elif k is not None:
+                    row[k] = pos
             pref_rank.append(tuple(row))
-        object.__setattr__(self, "_pref_rank", tuple(pref_rank))
+        diags += [f"preference list for unknown student {i!r}"
+                  for i in preferences if i not in sidx]
+        # a permutation has n entries and fills each student's slot once; a
+        # name repeated in the student list has one slot per occurrence, which
+        # `after` chains, so the order is compared with the list as a multiset
         prio_rank = []
-        for s in self.schools:
-            order = self.priorities.get(s, ())
+        for s in schools:
+            order = priorities.get(s)
+            if order is None:
+                diags.append(f"no priority order for school {s!r}")
+                continue
             row = [n] * n
             for pos, i in enumerate(order):
-                if i in sidx:
-                    row[sidx[i]] = pos
+                k = sidx.get(i, n)
+                while k < n and row[k] < n:
+                    k = after[k]
+                if k == n:
+                    break
+                row[k] = pos
+            if len(order) != n or n in row:
+                diags.append(f"priority of {s!r} is not a permutation of the students")
             prio_rank.append(tuple(row))
-        object.__setattr__(self, "_prio_rank", tuple(prio_rank))
-        object.__setattr__(
-            self, "_quota_vec", tuple(int(self.quotas.get(s, 0)) for s in self.schools)
-        )
+        diags += [f"priority order for unknown school {s!r}"
+                  for s in priorities if s not in cidx]
+        if diags:
+            raise ValidationError(*diags)
+        for name, value in (
+            ("students", students), ("schools", schools), ("quotas", quotas),
+            ("preferences", preferences), ("priorities", priorities),
+            ("_sidx", sidx), ("_cidx", cidx),
+            ("_pref_rank", tuple(pref_rank)), ("_prio_rank", tuple(prio_rank)),
+            ("_quota_vec", tuple(int(quotas[s]) for s in schools)),
+            # what an assignment-vector entry stands for: a school, or m for SELF
+            ("_options", schools + (SELF,)),
+        ):
+            object.__setattr__(self, name, value)
 
     # --- lookups -----------------------------------------------------------
 
@@ -135,7 +195,7 @@ class Problem:
         return self.pref_rank(i, a) < self.pref_rank(i, b)
 
     def acceptable(self, i: str, s: str) -> bool:
-        return s in self.preferences.get(i, ())
+        return s in self.preferences[i]
 
     def priority_rank(self, s: str, i: str) -> int:
         """1-based priority rank of student i at school s (1 = highest)."""
@@ -150,67 +210,6 @@ class Problem:
 
     def empty_matching(self) -> "Matching":
         return Matching(self, {i: SELF for i in self.students})
-
-
-def validate_problem(problem: Problem) -> list[str]:
-    """Return human-readable diagnostics for every violated invariant.
-
-    An empty list means the problem is well formed.
-    """
-    diags = []
-    seen = set()
-    for i in problem.students:
-        if i in seen:
-            diags.append(f"duplicate student identifier {i!r}")
-        seen.add(i)
-    seen = set()
-    for s in problem.schools:
-        if s in seen:
-            diags.append(f"duplicate school identifier {s!r}")
-        seen.add(s)
-    overlap = set(problem.students) & set(problem.schools)
-    for name in sorted(overlap):
-        diags.append(f"identifier {name!r} used for both a student and a school")
-    for s in problem.schools:
-        q = problem.quotas.get(s)
-        if q is None:
-            diags.append(f"no quota given for school {s!r}")
-        elif q < 1:
-            diags.append(f"quota of school {s!r} must be >= 1, got {q}")
-    for s in problem.quotas:
-        if s not in problem._cidx:
-            diags.append(f"quota given for unknown school {s!r}")
-    student_set = set(problem.students)
-    school_set = set(problem.schools)
-    for i in problem.students:
-        prefs = problem.preferences.get(i)
-        if prefs is None:
-            diags.append(f"no preference list for student {i!r}")
-            continue
-        seen = set()
-        for s in prefs:
-            if s not in school_set:
-                diags.append(f"preference of {i!r} lists unknown school {s!r}")
-            if s in seen:
-                diags.append(f"preference of {i!r} lists school {s!r} twice")
-            seen.add(s)
-    for i in problem.preferences:
-        if i not in student_set:
-            diags.append(f"preference list for unknown student {i!r}")
-    # a permutation holds each student as often as the student list does; Counter's
-    # own == runs in Python, its items() views compare in C
-    counted = Counter(problem.students).items()
-    for s in problem.schools:
-        order = problem.priorities.get(s)
-        if order is None:
-            diags.append(f"no priority order for school {s!r}")
-            continue
-        if Counter(order).items() != counted:
-            diags.append(f"priority of {s!r} is not a permutation of the students")
-    for s in problem.priorities:
-        if s not in school_set:
-            diags.append(f"priority order for unknown school {s!r}")
-    return diags
 
 
 class Matching:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import re
 
-from .model import SELF, Matching, Problem, SchoolChoiceError, validate_problem
+from .model import SELF, Matching, Problem, SchoolChoiceError, ValidationError
 from .farsight import (
     FARSIGHTED,
     Coalition,
@@ -123,11 +123,10 @@ def parse_instance(text: str) -> Problem:
         raise InstanceParseError(diags)
     for i in students:
         prefs.setdefault(i, ())
-    problem = Problem(tuple(students), tuple(schools), quotas, prefs, prios)
-    semantic = validate_problem(problem)
-    if semantic:
-        raise InstanceParseError(semantic)
-    return problem
+    try:
+        return Problem(tuple(students), tuple(schools), quotas, prefs, prios)
+    except ValidationError as exc:
+        raise InstanceParseError(exc.diagnostics) from None
 
 
 def serialize_instance(problem: Problem) -> str:

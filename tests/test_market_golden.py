@@ -6,10 +6,9 @@ instances maps to one sha256 digest over the outcome and trace of
 `run_ttc`, `run_fct`, `run_ct` and `run_ettc` (the same record as
 `test_replay_golden`): 24 seeded markets of 20-400 students and 2-40
 schools, with lists of 1-6 schools or each school listed with probability
-0.8, and 4 problems whose priority orders leave students out, so that the
-students left out tie at the bottom of that school's order.  On three of
-those, FCT and CT end in a `ValidationError` (a school over its quota); the
-record then holds the error, as it does for a builder.
+0.8.  Four more draws give each school a random prefix of a priority order;
+`Problem` rejects them, since priorities are strict orders of all students,
+and their record holds the `ValidationError` that construction raised.
 
 After an intended behaviour change, regenerate the file with
 `PYTHONPATH=src python tests/test_market_golden.py`.
@@ -19,7 +18,7 @@ import json
 import random
 from pathlib import Path
 
-from schoolchoice import Problem
+from schoolchoice import Problem, ValidationError
 
 from test_replay_golden import _mechanism_record
 
@@ -54,18 +53,26 @@ def random_market(rng: random.Random, partial: bool = False) -> Problem:
 
 
 def instances() -> dict:
+    """Name -> problem, or the ValidationError its construction raised."""
     rng = random.Random(909)
     out = {f"market_{k:02d}": random_market(rng) for k in range(MARKETS)}
     for k in range(PARTIAL_PRIORITIES):
-        out[f"partial_{k}"] = random_market(rng, partial=True)
+        try:
+            out[f"partial_{k}"] = random_market(rng, partial=True)
+        except ValidationError as exc:
+            out[f"partial_{k}"] = exc
     return out
+
+
+def record(problem) -> dict:
+    if isinstance(problem, ValidationError):
+        return {"error": f"ValidationError: {problem}"}
+    return _mechanism_record(problem, MECHANISMS)
 
 
 def all_digests() -> dict:
     return {
-        name: hashlib.sha256(
-            json.dumps(_mechanism_record(problem, MECHANISMS), sort_keys=True).encode()
-        ).hexdigest()
+        name: hashlib.sha256(json.dumps(record(problem), sort_keys=True).encode()).hexdigest()
         for name, problem in instances().items()
     }
 

@@ -16,7 +16,6 @@ from schoolchoice import (
     is_pareto_efficient,
     is_stable,
     pareto_dominates,
-    validate_problem,
 )
 
 from conftest import matching_of, random_problem
@@ -35,16 +34,18 @@ def brute_force_count(problem):
 
 class TestValidateProblem:
     def test_well_formed(self, trading_instance):
-        assert validate_problem(trading_instance) == []
+        p = trading_instance
+        again = Problem(p.students, p.schools, p.quotas, p.preferences, p.priorities)
+        assert again == p
 
     def test_priority_not_a_permutation(self):
-        p = Problem(
-            ("i1", "i2"), ("s1",), {"s1": 1},
-            {"i1": ("s1",), "i2": ("s1",)},
-            {"s1": ("i1",)},
-        )
-        diags = validate_problem(p)
-        assert any("not a permutation" in d for d in diags)
+        with pytest.raises(ValidationError) as err:
+            Problem(
+                ("i1", "i2"), ("s1",), {"s1": 1},
+                {"i1": ("s1",), "i2": ("s1",)},
+                {"s1": ("i1",)},
+            )
+        assert any("not a permutation" in d for d in err.value.diagnostics)
 
     @pytest.mark.parametrize("students, order, diagnostics", [
         (("i1", "i2"), ("i1",), ["priority of 's1' is not a permutation of the students"]),
@@ -63,21 +64,58 @@ class TestValidateProblem:
         (("i1", "i2"), ("i2", "i1"), []),
     ])
     def test_permutation_diagnostics(self, students, order, diagnostics):
-        p = Problem(students, ("s1",), {"s1": 1}, {i: ("s1",) for i in students}, {"s1": order})
-        assert validate_problem(p) == diagnostics
+        args = (students, ("s1",), {"s1": 1}, {i: ("s1",) for i in students}, {"s1": order})
+        if not diagnostics:
+            Problem(*args)
+            return
+        with pytest.raises(ValidationError) as err:
+            Problem(*args)
+        assert err.value.diagnostics == diagnostics
 
     def test_zero_quota(self):
-        p = Problem(
-            ("i1",), ("s1",), {"s1": 0}, {"i1": ("s1",)}, {"s1": ("i1",)}
-        )
-        diags = validate_problem(p)
-        assert any("must be >= 1" in d for d in diags)
+        with pytest.raises(ValidationError) as err:
+            Problem(("i1",), ("s1",), {"s1": 0}, {"i1": ("s1",)}, {"s1": ("i1",)})
+        assert any("must be >= 1" in d for d in err.value.diagnostics)
 
     def test_duplicate_preference_entry(self):
-        p = Problem(
-            ("i1",), ("s1",), {"s1": 1}, {"i1": ("s1", "s1")}, {"s1": ("i1",)}
-        )
-        assert any("twice" in d for d in validate_problem(p))
+        with pytest.raises(ValidationError) as err:
+            Problem(("i1",), ("s1",), {"s1": 1}, {"i1": ("s1", "s1")}, {"s1": ("i1",)})
+        assert any("twice" in d for d in err.value.diagnostics)
+
+    @pytest.mark.parametrize("problem, diagnostics", [
+        ((("i1", "i2", "i1", "i2"), ("s1",), {"s1": 1}, {"i1": (), "i2": ()},
+          {"s1": ("i1", "i2", "i1", "i2")}),
+         ["duplicate student identifier 'i1'", "duplicate student identifier 'i2'"]),
+        ((("i1",), ("s2", "s1", "s2"), {"s1": 1, "s2": 1}, {"i1": ()},
+          {"s1": ("i1",), "s2": ("i1",)}),
+         ["duplicate school identifier 's2'"]),
+        ((("x", "i1", "a"), ("x", "a"), {"x": 1, "a": 1}, {"x": (), "i1": (), "a": ()},
+          {"x": ("x", "i1", "a"), "a": ("x", "i1", "a")}),
+         ["identifier 'a' used for both a student and a school",
+          "identifier 'x' used for both a student and a school"]),
+        ((("i1",), ("s1", "s2", "s3"), {"s2": 0, "s3": -1, "s9": 1}, {"i1": ()},
+          {"s1": ("i1",), "s2": ("i1",), "s3": ("i1",)}),
+         ["no quota given for school 's1'", "quota of school 's2' must be >= 1, got 0",
+          "quota of school 's3' must be >= 1, got -1", "quota given for unknown school 's9'"]),
+        ((("i1", "i2"), ("s1",), {"s1": 1}, {"i2": ("s9", "s1", "s9", "s1"), "i7": ()},
+          {"s1": ("i1", "i2")}),
+         ["no preference list for student 'i1'",
+          "preference of 'i2' lists unknown school 's9'",
+          "preference of 'i2' lists unknown school 's9'",
+          "preference of 'i2' lists school 's9' twice",
+          "preference of 'i2' lists school 's1' twice",
+          "preference list for unknown student 'i7'"]),
+        ((("i1",), ("s1", "s2"), {"s1": 1, "s2": 1}, {"i1": ()},
+          {"s2": ("i1", "i9"), "s8": ("i1",)}),
+         ["no priority order for school 's1'",
+          "priority of 's2' is not a permutation of the students",
+          "priority order for unknown school 's8'"]),
+    ])
+    def test_every_diagnostic_kind(self, problem, diagnostics):
+        with pytest.raises(ValidationError) as err:
+            Problem(*problem)
+        assert err.value.diagnostics == diagnostics
+        assert str(err.value) == "; ".join(diagnostics)
 
 
 class TestEnumeration:
