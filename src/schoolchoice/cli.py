@@ -183,8 +183,7 @@ def cmd_validate_path(args) -> int:
 
 def cmd_check_set(args) -> int:
     problem = _load_problem(args.instance)
-    literals = [part for part in args.set.split(";") if part.strip()]
-    candidate = [parse_matching(problem, lit) for lit in literals]
+    candidate = [parse_matching(problem, lit) for lit in args.set]
     horizon = FARSIGHTED if args.horizon is None else args.horizon
     report = check_stable_set(problem, candidate, horizon)
     lines = [f"verdict: {report.verdict}"]
@@ -235,6 +234,29 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _literals(text: str) -> list[str]:
+    """argparse type: the non-empty parts of a semicolon-separated list."""
+    literals = [part for part in text.split(";") if part.strip()]
+    if not literals:
+        raise argparse.ArgumentTypeError("no matching literal given")
+    return literals
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schoolchoice",
@@ -260,15 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phi", help="matchings reachable by farsighted improving paths")
     common(p)
     p.add_argument("--from", required=True, help="source matching literal")
-    p.add_argument("--horizon", type=int, default=None, help="limited lookahead k")
-    p.add_argument("--depth-cap", type=int, default=None)
+    p.add_argument("--horizon", type=_int_at_least(1), default=None, help="limited lookahead k")
+    p.add_argument("--depth-cap", type=_int_at_least(0), default=None)
     p.set_defaults(fn=cmd_phi)
 
     p = sub.add_parser("path", help="construct an improving path to a mechanism outcome")
     common(p)
     p.add_argument("--target", choices=sorted(BUILDERS), required=True)
     p.add_argument("--from", required=True, help="source matching literal")
-    p.add_argument("--check-horizon", type=int, default=None)
+    p.add_argument("--check-horizon", type=_int_at_least(1), default=None)
     p.set_defaults(fn=cmd_path)
 
     p = sub.add_parser("validate-path", help="check a serialized path certificate")
@@ -278,18 +300,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-set", help="internal/external stability of a set")
     common(p)
-    p.add_argument("--set", required=True, help="semicolon-separated matching literals")
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument(
+        "--set", type=_literals, required=True, help="semicolon-separated matching literals"
+    )
+    p.add_argument("--horizon", type=_int_at_least(1), default=None)
     p.set_defaults(fn=cmd_check_set)
 
     p = sub.add_parser("find-singletons", help="all singleton farsighted stable sets")
     common(p)
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--horizon", type=_int_at_least(1), default=None)
     p.set_defaults(fn=cmd_find_singletons)
 
     p = sub.add_parser("find-sets", help="all farsighted stable sets up to a size")
     common(p)
-    p.add_argument("--max-size", type=int, default=3)
+    p.add_argument("--max-size", type=_int_at_least(1), default=3)
     p.set_defaults(fn=cmd_find_sets)
 
     p = sub.add_parser("enumerate", help="count (and list) all feasible matchings")

@@ -202,26 +202,53 @@ def certificate_to_dict(cert: PathCertificate) -> dict:
     }
 
 
-def certificate_from_dict(problem: Problem, data: dict) -> PathCertificate:
+def _is_names(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(isinstance(x, str) for x in value)
+
+
+def certificate_from_dict(problem: Problem, data) -> PathCertificate:
+    """The certificate a JSON object describes; raises InstanceParseError
+    when any part is missing, of the wrong type or names an agent that the
+    problem does not have."""
+    if not isinstance(data, dict):
+        raise InstanceParseError(["a certificate must be a JSON object"])
     horizon = data.get("horizon", FARSIGHTED)
-    if horizon != FARSIGHTED:
-        horizon = int(horizon)
+    # type, not isinstance: JSON true is a bool, which is no horizon
+    if horizon != FARSIGHTED and (type(horizon) is not int or horizon < 1):
+        raise InstanceParseError(
+            [f"horizon must be {FARSIGHTED!r} or an integer >= 1, got {horizon!r}"]
+        )
+    if not _is_names(data.get("matchings")):
+        raise InstanceParseError(["'matchings' must be a list of matching literals"])
     matchings = [parse_matching(problem, lit) for lit in data["matchings"]]
     raw_steps = data.get("steps", [])
+    if not isinstance(raw_steps, (list, tuple)):
+        raise InstanceParseError(["'steps' must be a list"])
     if len(raw_steps) != max(len(matchings) - 1, 0):
         raise InstanceParseError(
             [f"{len(raw_steps)} steps for {len(matchings)} matchings"]
         )
     steps = []
     for k, st in enumerate(raw_steps):
-        co = st["coalition"]
-        steps.append(
-            MoveStep(
-                matchings[k],
-                matchings[k + 1],
-                Coalition(frozenset(co.get("students", ())), frozenset(co.get("schools", ()))),
+        co = st.get("coalition") if isinstance(st, dict) else None
+        if not isinstance(co, dict):
+            raise InstanceParseError([f"step {k}: no coalition object"])
+        students, schools = co.get("students", []), co.get("schools", [])
+        if not (_is_names(students) and _is_names(schools)):
+            raise InstanceParseError(
+                [f"step {k}: coalition students and schools must be lists of names"]
             )
-        )
+        coalition = Coalition(frozenset(students), frozenset(schools))
+        if not (
+            problem._sidx.keys() >= coalition.students
+            and problem._cidx.keys() >= coalition.schools
+        ):
+            unknown = sorted(coalition.students.difference(problem._sidx))
+            unknown += sorted(coalition.schools.difference(problem._cidx))
+            raise InstanceParseError(
+                [f"step {k}: coalition names unknown agents {', '.join(unknown)}"]
+            )
+        steps.append(MoveStep(matchings[k], matchings[k + 1], coalition))
     return PathCertificate(tuple(matchings), tuple(steps), horizon)
 
 

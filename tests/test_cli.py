@@ -30,6 +30,13 @@ priority s3: i2 i3 i4 i1
 """
 
 
+START = "i1->s1, i2->s2, i3->s3, i4->s1"
+
+
+def with_first_coalition(cert, coalition):
+    return {**cert, "steps": [{"coalition": coalition}] + cert["steps"][1:]}
+
+
 @pytest.fixture()
 def instance_file(tmp_path):
     path = tmp_path / "trading.instance"
@@ -276,6 +283,45 @@ class TestCommands:
         err = capsys.readouterr().err
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize("argv, edit", [
+        (["phi", "--from", START, "--horizon", "0"], None),
+        (["check-set", "--set", START, "--horizon", "0"], None),
+        (["find-singletons", "--horizon", "0"], None),
+        (["path", "--target", "ttc", "--from", START, "--check-horizon", "0"], None),
+        (["phi", "--from", START, "--horizon", "2", "--depth-cap", "-3"], None),
+        (["find-sets", "--max-size", "0"], None),
+        (["check-set", "--set", " ; "], None),
+        (["validate-path"], lambda c: {k: v for k, v in c.items() if k != "matchings"}),
+        (["validate-path"], lambda c: {**c, "steps": [{}] * len(c["steps"])}),
+        (["validate-path"], lambda c: [c]),
+        (["validate-path"], lambda c: {**c, "horizon": "x"}),
+        (["validate-path"], lambda c: with_first_coalition(c, {"students": "i4"})),
+        (["validate-path"], lambda c: with_first_coalition(c, {"students": ["a0"]})),
+    ], ids=[
+        "phi-horizon-0", "check-set-horizon-0", "find-singletons-horizon-0",
+        "path-check-horizon-0", "depth-cap-negative", "max-size-0", "set-without-literal",
+        "certificate-without-matchings", "step-without-coalition", "certificate-list",
+        "horizon-not-an-integer", "students-as-a-string", "unknown-coalition-student",
+    ])
+    def test_malformed_input_exits_2(self, argv, edit, instance_file, tmp_path, capsys):
+        args = [argv[0], instance_file, *argv[1:]]
+        if edit is not None:
+            problem = parse_instance(TRADING_INSTANCE)
+            cert = json.loads(dump_certificate(
+                build_path_to_ttc(problem, parse_matching(problem, START))
+            ))
+            cert_file = tmp_path / "certificate.json"
+            cert_file.write_text(json.dumps(edit(cert)), encoding="utf-8")
+            args += ["--file", str(cert_file)]
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err
+        assert "Traceback" not in err
 
     def test_deterministic_output(self, instance_file, capsys):
         main(["phi", instance_file, "--from", "i1->s1, i2->s1, i3->s2, i4->s3"])

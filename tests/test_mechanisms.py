@@ -4,7 +4,9 @@ import time
 
 from schoolchoice import (
     SELF,
+    Matching,
     Problem,
+    ValidationError,
     enumerate_matchings,
     is_individually_rational,
     is_non_wasteful,
@@ -169,6 +171,43 @@ class TestMechanismInvariants:
             for name in self.EFFICIENT:
                 mu, _ = run_mechanism(name, p)
                 assert is_pareto_efficient(p, mu, universe=universe), name
+
+    def test_malformed_priorities_rejected_or_every_mechanism_runs(self):
+        """Each priority order is drawn as a permutation, a proper prefix, a
+        copy with a student repeated, a copy with an unknown student, or no
+        order: the constructor names exactly the schools whose order is not
+        a permutation, or every mechanism returns a feasible matching."""
+        rng = random.Random(1111)
+        built = rejected = 0
+        for _ in range(300):
+            base = random_problem(rng, max_students=6, max_schools=4)
+            prios, bad = {}, set()
+            for s in base.schools:
+                order = list(base.priorities[s])
+                kind = rng.choice(("permutation",) * 4 + ("prefix", "repeat", "unknown", "none"))
+                if kind == "prefix":
+                    order = order[: rng.randrange(len(order))]
+                elif kind == "repeat":
+                    order.insert(rng.randrange(len(order) + 1), rng.choice(order))
+                elif kind == "unknown":
+                    order[rng.randrange(len(order))] = "i99"
+                if kind != "none":
+                    prios[s] = tuple(order)
+                if kind != "permutation":
+                    bad.add(s)
+            try:
+                p = Problem(base.students, base.schools, base.quotas, base.preferences, prios)
+            except ValidationError as err:
+                named = {s for s in base.schools if any(repr(s) in d for d in err.diagnostics)}
+                assert named == bad
+                rejected += 1
+                continue
+            assert not bad
+            for name in self.MECHS:
+                mu, _ = run_mechanism(name, p)
+                assert isinstance(mu, Matching) and mu.problem is p, name
+            built += 1
+        assert built > 50 and rejected > 50
 
     def test_capacity_never_negative_in_traces(self):
         rng = random.Random(31)
