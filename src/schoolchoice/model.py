@@ -131,11 +131,12 @@ class Problem:
                 k = cidx.get(s)
                 if k is None:
                     diags.append(f"preference of {i!r} lists unknown school {s!r}")
-                # a school listed before holds its earlier position in row
-                if s in prefs[:pos] if k is None else row[k] < pos:
-                    diags.append(f"preference of {i!r} lists school {s!r} twice")
-                elif k is not None:
+                    listed_before = s in prefs[:pos]
+                else:
+                    listed_before = row[k] < pos  # row[k] is a position once listed
                     row[k] = pos
+                if listed_before:
+                    diags.append(f"preference of {i!r} lists school {s!r} twice")
             pref_rank.append(tuple(row))
         diags += [f"preference list for unknown student {i!r}"
                   for i in preferences if i not in sidx]
