@@ -1,7 +1,7 @@
 """Byte-level guard on the trading mechanisms at market scale.
 
 `replay_golden.json` stops at five students and three schools, where steps
-with several cycles and long pointer skips are rare.  Here each of 28
+with several cycles and long pointer skips are rare.  Here each of 30
 instances maps to one sha256 digest over the outcome and trace of
 `run_ttc`, `run_fct`, `run_ct` and `run_ettc` (the same record as
 `test_replay_golden`): 24 seeded markets of 20-400 students and 2-40
@@ -9,6 +9,9 @@ schools, with lists of 1-6 schools or each school listed with probability
 0.8.  Four more draws give each school a random prefix of a priority order;
 `Problem` rejects them, since priorities are strict orders of all students,
 and their record holds the `ValidationError` that construction raised.
+Two large markets of 1000-2000 students and 20 schools with 50 seats or
+more each, drawn from a stream of their own, reach deep into the priority
+orders as CT and ETTC hand out seats step after step.
 
 After an intended behaviour change, regenerate the file with
 `PYTHONPATH=src python tests/test_market_golden.py`.
@@ -26,15 +29,21 @@ GOLDEN = Path(__file__).with_name("market_golden.json")
 MECHANISMS = ("ct", "ettc", "fct", "ttc")
 MARKETS = 24
 PARTIAL_PRIORITIES = 4
+LARGE = 2
 
 
-def random_market(rng: random.Random, partial: bool = False) -> Problem:
-    """A seeded market; with `partial`, each priority order is a random prefix."""
-    n = rng.randint(20, 120 if partial else 400)
-    m = rng.randint(2, 40)
+def random_market(rng: random.Random, partial: bool = False, large: bool = False) -> Problem:
+    """A seeded market; with `partial`, each priority order is a random prefix;
+    `large` draws 1000-2000 students and 20 schools of at least 50 seats."""
+    if large:
+        n, m = rng.randint(1000, 2000), 20
+    else:
+        n = rng.randint(20, 120 if partial else 400)
+        m = rng.randint(2, 40)
     students = tuple(f"i{k}" for k in range(1, n + 1))
     schools = tuple(f"s{k}" for k in range(1, m + 1))
-    quotas = {s: rng.randint(1, max(1, 2 * n // m)) for s in schools}
+    low = 50 if large else 1
+    quotas = {s: rng.randint(low, max(low, 2 * n // m)) for s in schools}
     list_len = rng.choice((1, 2, 3, 4, 5, 6, None))
     prefs = {}
     for i in students:
@@ -61,6 +70,8 @@ def instances() -> dict:
             out[f"partial_{k}"] = random_market(rng, partial=True)
         except ValidationError as exc:
             out[f"partial_{k}"] = exc
+    rng = random.Random(1212)
+    out.update((f"large_{k}", random_market(rng, large=True)) for k in range(LARGE))
     return out
 
 

@@ -219,6 +219,93 @@ class TestMechanismInvariants:
                     assert all(q >= 0 for q in st.capacities.values())
 
 
+def _heir_problem(rng: random.Random) -> Problem:
+    """Up to 30 students and 6 schools; lists of any length, the empty one
+    included, and quotas from 1 to two above the number of students."""
+    n, m = rng.randint(1, 30), rng.randint(1, 6)
+    students = tuple(f"i{k}" for k in range(1, n + 1))
+    schools = tuple(f"s{k}" for k in range(1, m + 1))
+    quotas = {s: rng.randint(1, n + 2) for s in schools}
+    prefs = {i: tuple(rng.sample(schools, rng.randint(0, m))) for i in students}
+    prios = {s: tuple(rng.sample(students, n)) for s in schools}
+    return Problem(students, schools, quotas, prefs, prios)
+
+
+def _top_unmatched(p: Problem, s: str, matched, capacity: dict) -> list:
+    """The capacity[s] highest-priority students at s not in matched."""
+    return [i for i in p.priorities[s] if i not in matched][: capacity[s]]
+
+
+def _in_student_order(p: Problem, students) -> tuple:
+    return tuple(sorted(students, key=p.student_index))
+
+
+class TestHeirsAgainstPriorityOrders:
+    """CT's guarantees and ETTC's seat endowments, recomputed from the
+    priority orders and the trace's own capacities and matches alone."""
+
+    PROBLEMS = 200
+
+    def test_ct_guarantees_and_clinches(self):
+        rng = random.Random(1212)
+        for _ in range(self.PROBLEMS):
+            p = _heir_problem(rng)
+            _, trace = run_ct(p)
+            matched: set = set()
+            for st in trace.steps:
+                capacity, barred = dict(st.capacities), set(st.excluded)
+
+                def guarantees():
+                    return {
+                        s: tuple(
+                            i
+                            for i in _in_student_order(p, _top_unmatched(p, s, matched, capacity))
+                            if i not in barred
+                        )
+                        for s in p.schools
+                    }
+
+                def clinches(g):
+                    return [
+                        (i, p.preferences[i][0])
+                        for i in p.students
+                        if i not in matched and p.preferences[i]
+                        and i in g[p.preferences[i][0]]
+                    ]
+
+                for k, r in enumerate(st.clinch_rounds, 1):
+                    assert r.round == k
+                    g = guarantees()
+                    assert r.guarantees == g, (p, st.step, k)
+                    assert r.clinches == clinches(g), (p, st.step, k)
+                    for i, s in r.clinches:
+                        matched.add(i)
+                        capacity[s] -= 1
+                assert not clinches(guarantees()), (p, st.step)
+                matched.update(st.matches)
+
+    def test_ettc_pairs_and_holders(self):
+        rng = random.Random(1213)
+        for _ in range(self.PROBLEMS):
+            p = _heir_problem(rng)
+            _, trace = run_ettc(p)
+            matched: set = set()
+            for st in trace.steps:
+                heirs = {s: _top_unmatched(p, s, matched, st.capacities) for s in p.schools}
+                pairs = sorted(
+                    ((i, s) for s in p.schools for i in heirs[s]),
+                    key=lambda pair: (p.student_index(pair[0]), p.school_index(pair[1])),
+                )
+                assert st.pairs == pairs, (p, st.step)
+                paired = {s for _, s in pairs}
+                for cyc in st.pair_cycles:
+                    for (i, s), nxt in zip(cyc, cyc[1:] + cyc[:1]):
+                        best = next(t for t in p.preferences[i] if t in paired)
+                        holder = min(heirs[best], key=lambda j: p.priority_rank(s, j))
+                        assert nxt == (holder, best), (p, st.step, (i, s))
+                matched.update(st.matches)
+
+
 class TestMarketScale:
     """Trading keeps one pointer state across its steps, so a step costs
     about the schools plus the students it moves, not students x schools."""
