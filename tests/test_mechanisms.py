@@ -308,22 +308,39 @@ class TestHeirsAgainstPriorityOrders:
 
 class TestMarketScale:
     """Trading keeps one pointer state across its steps, so a step costs
-    about the schools plus the students it moves, not students x schools."""
+    about the schools plus the students it moves, not students x schools;
+    CT's guarantees and ETTC's heirs come from heir windows kept the same
+    way, not from ranking the whole pool at every school each round."""
 
-    def test_ttc_and_fct_on_5000_students(self):
+    @staticmethod
+    def market(n: int) -> Problem:
+        """n students, 20 schools of n // 20 seats, lists of four."""
         rng = random.Random(2212)
-        students = tuple(f"i{k}" for k in range(1, 5001))
+        students = tuple(f"i{k}" for k in range(1, n + 1))
         schools = tuple(f"s{k}" for k in range(1, 21))
         prefs = {i: tuple(rng.sample(schools, 4)) for i in students}
         prios = {s: tuple(rng.sample(students, len(students))) for s in schools}
-        p = Problem(students, schools, dict.fromkeys(schools, 250), prefs, prios)
+        return Problem(students, schools, dict.fromkeys(schools, n // 20), prefs, prios)
+
+    @staticmethod
+    def assert_runs_within(p: Problem, run, seconds: float) -> None:
+        start = time.perf_counter()
+        mu, _ = run(p)
+        elapsed = time.perf_counter() - start
+        assert elapsed < seconds, (run.__name__, elapsed)
+        assert is_individually_rational(p, mu), run.__name__
+        assert is_non_wasteful(p, mu), run.__name__
+
+    def test_ttc_and_fct_on_5000_students(self):
+        p = self.market(5000)
         for run in (run_ttc, run_fct):
-            start = time.perf_counter()
-            mu, _ = run(p)
-            elapsed = time.perf_counter() - start
-            assert elapsed < 2.0, (run.__name__, elapsed)
-            assert is_individually_rational(p, mu), run.__name__
-            assert is_non_wasteful(p, mu), run.__name__
+            self.assert_runs_within(p, run, 2.0)
+
+    def test_ct_on_2000_students(self):
+        self.assert_runs_within(self.market(2000), run_ct, 1.0)
+
+    def test_ettc_on_3000_students(self):
+        self.assert_runs_within(self.market(3000), run_ettc, 1.6)
 
 
 def all_preference_lists(schools):
