@@ -5,8 +5,9 @@ run_ia return just the matching.  Traces record, step by step, remaining
 capacities, clinch rounds, cycles and the matches they formed, which is
 enough to replay or audit a run.
 
-TTC, FCT, CT and ETTC run on one pointer state (`_Pointers`) kept across
-their steps, so a step costs about the schools plus the students it moves:
+TTC, FCT and CT trade on one pointer state (`_Pointers`) kept across
+their steps, so a trading step costs about the schools plus the students
+it moves:
 - cursors are monotone: a student's cursor over her list only skips
   schools without a free seat, and capacities only fall; a school's cursor
   over its priority order only skips students who left the pool, and the
@@ -15,18 +16,22 @@ their steps, so a step costs about the schools plus the students it moves:
   at it move on, and each school keeps the list of who points at it;
 - walks start from schools: every cycle but a self-cycle holds a school,
   so the graph is walked on the schools with a free seat, and the students
-  whose lists ran out form the self-cycles;
-- CT's guarantees and ETTC's heirs are a school's heir window: the first
-  capacity[s] pool members of its priority order.  Priorities are strict,
-  and a school gives up a seat only to a move that also takes a member of
-  its window out of the pool (a clinch takes a guaranteed student, a
-  trading cycle the school's top student, an ETTC cycle one holder at the
-  school per student it seats there), so a window never holds too many
-  members: it drops those who left and extends from a forward-only cursor.
+  whose lists ran out form the self-cycles.
+
+CT's guarantees and ETTC's heirs come from the same state: a school's heir
+window is the first capacity[s] pool members of its priority order.
+Priorities are strict, the pool only shrinks, and a school gives up a seat
+only to a move that also takes a member of its window out of the pool (a
+clinch takes a guaranteed student, a trading cycle the school's top
+student, an ETTC cycle one of its heirs per student it seats there).  So
+a window never holds too many members: it drops those who left, extends
+from a forward-only cursor, and rebuilds its student-ordered tuple only
+when it changed.
 
 On a seeded market of 5000 students and 20 schools with lists of four,
-run_ttc takes about 0.1 s, run_ct under 1 s and run_ettc about 2 s; ETTC
-still rebuilds its pair graph at every step (`BENCH_12.json`).
+run_ttc takes about 0.1 s, run_ct 0.6 s and run_ettc 1.5 s
+(`BENCH_12.json`).  ETTC still rebuilds its pair graph and walks every
+pair at every step, so it grows faster than the others.
 """
 from __future__ import annotations
 

@@ -339,8 +339,12 @@ class TestMarketScale:
     def test_ct_on_2000_students(self):
         self.assert_runs_within(self.market(2000), run_ct, 1.0)
 
-    def test_ettc_on_3000_students(self):
-        self.assert_runs_within(self.market(3000), run_ettc, 1.6)
+    def test_ettc_on_7000_students(self):
+        # ETTC still walks its whole pair graph at every step, so its time
+        # grows faster than CT's; the market is this large so that a bound
+        # with threefold headroom still catches a return to ranking the
+        # whole pool in each round
+        self.assert_runs_within(self.market(7000), run_ettc, 9.0)
 
 
 def all_preference_lists(schools):
