@@ -134,3 +134,16 @@ def random_problem(rng: random.Random, max_students=5, max_schools=4, full_prefs
         rng.shuffle(order)
         prios[s] = tuple(order)
     return Problem(tuple(students), tuple(schools), quotas, prefs, prios)
+
+
+def random_matching(rng: random.Random, problem):
+    """A feasible matching: each student in turn takes a random school with
+    a free seat, or stays unmatched."""
+    seats = dict(problem.quotas)
+    assignment = {}
+    for i in problem.students:
+        a = rng.choice([s for s in problem.schools if seats[s] > 0] + [SELF])
+        if a is not SELF:
+            seats[a] -= 1
+        assignment[i] = a
+    return problem.matching(assignment)

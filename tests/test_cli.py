@@ -1,4 +1,7 @@
 import json
+import random
+import re
+from collections import Counter
 
 import pytest
 
@@ -11,7 +14,9 @@ from schoolchoice.textio import (
     parse_matching,
     serialize_instance,
 )
-from schoolchoice import ValidationError, build_path_to_ttc
+from schoolchoice import SELF, Matching, ValidationError, build_path_to_ttc
+
+from conftest import random_problem
 
 TRADING_INSTANCE = """\
 # four students, three schools
@@ -133,6 +138,92 @@ class TestMatchingLiterals:
         with pytest.raises(ValidationError) as err:
             parse_matching(problem, "i1->s2, i2->s2, i3->s1, i4->s1")
         assert str(err.value) == "school 's2' holds 2 students, quota is 1"
+
+    def test_agrees_with_the_regex_parser(self):
+        rng = random.Random(1331)
+        kinds = Counter()
+        for _ in range(800):
+            p = random_problem(rng, max_students=6, max_schools=4)
+            literal = random_literal(rng, p)
+            got = parse_outcome(parse_matching, p, literal)
+            assert got == parse_outcome(regex_parse_matching, p, literal), literal
+            kinds[got[0]] += 1
+        assert set(kinds) == {Matching, InstanceParseError, ValidationError}
+        assert min(kinds.values()) > 30
+
+
+#: A matching-literal term, as the regex parser splits it.
+_TERM = re.compile(r"(\S+)\s*->\s*(\S+)")
+
+
+def regex_parse_matching(problem, literal):
+    """The reference parser: every term matched against one pattern."""
+    diags = []
+    assignment = {}
+    sidx, cidx = problem._sidx, problem._cidx
+    for term in literal.split(","):
+        term = term.strip()
+        if not term:
+            continue
+        m = _TERM.fullmatch(term)
+        if not m:
+            diags.append(f"malformed term {term!r}")
+            continue
+        i, target = m.groups()
+        if i not in sidx:
+            diags.append(f"unknown student {i!r}")
+            continue
+        if i in assignment:
+            diags.append(f"student {i!r} assigned twice")
+            continue
+        if target.lower() == "self":
+            assignment[i] = SELF
+        elif target in cidx:
+            assignment[i] = target
+        else:
+            diags.append(f"unknown school {target!r}")
+    missing = [i for i in problem.students if i not in assignment]
+    if missing:
+        diags.append(f"students missing from literal: {', '.join(missing)}")
+    if diags:
+        raise InstanceParseError(diags)
+    return problem.matching(assignment)
+
+
+def parse_outcome(parse, problem, literal):
+    """The parsed matching's literal, or the exception's message and diagnostics."""
+    try:
+        mu = parse(problem, literal)
+    except (InstanceParseError, ValidationError) as exc:
+        return type(exc), str(exc), exc.diagnostics
+    return type(mu), mu.literal(), mu._assign
+
+
+def random_literal(rng, problem):
+    """A literal over the problem's names with spaced arrows, SELF in any
+    case, repeated, empty and trailing terms, unknown names, extra arrows
+    and missing students; its schools take no heed of quotas."""
+    targets = list(problem.schools) * 2 + ["self", "SELF", "Self", "sElF"]
+    terms = []
+    for i in problem.students:
+        if rng.random() < 0.03:
+            continue
+        s = rng.choice(targets)
+        if rng.random() < 0.1:
+            terms.append(rng.choice([
+                f"{i}->s99", f"i99->{s}", f"{i}->{s}->{s}", f"{i}->->{s}", f"{i}-> ->{s}",
+                f"->{s}", f"{i}->", f"{i}", f"{i} {s}", f"{i}-{s}", f"{i} - > {s}",
+            ]))
+        else:
+            terms.append(rng.choice(
+                [f"{i}->{s}"] * 4 + [f"{i} -> {s}", f"{i}->\t{s}", f" {i}  ->{s} "]))
+        if rng.random() < 0.03:
+            terms.append(f"{i}->{rng.choice(targets)}")
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        terms.insert(rng.randint(0, len(terms)), rng.choice(["", " ", "\t"]))
+    if rng.random() < 0.2:
+        terms.append("")
+    return rng.choice([",", ", ", " , "]).join(terms)
 
 
 class TestCommands:

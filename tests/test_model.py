@@ -7,6 +7,7 @@ import pytest
 from schoolchoice import (
     SELF,
     CapacityError,
+    Matching,
     Problem,
     ValidationError,
     enumerate_matchings,
@@ -18,7 +19,7 @@ from schoolchoice import (
     pareto_dominates,
 )
 
-from conftest import matching_of, random_problem
+from conftest import matching_of, random_matching, random_problem
 
 
 def brute_force_count(problem):
@@ -221,6 +222,37 @@ class TestMatchingViews:
                 )
                 assert p.matching(seat) == mu
         assert seen_self > 1000
+
+
+def outcome(build):
+    """What build() gives: the matching's vector, or the exception's type,
+    message and diagnostics."""
+    try:
+        mu = build()
+    except ValidationError as exc:
+        return type(exc), str(exc), exc.diagnostics
+    return mu.problem, mu._assign, hash(mu)
+
+
+class TestReassign:
+    def test_reassign_is_the_constructor_on_the_updated_assignment(self):
+        rng = random.Random(1313)
+        kinds = Counter()
+        for _ in range(400):
+            p = random_problem(rng, max_students=7, max_schools=4)
+            mu = random_matching(rng, p)
+            targets = list(p.schools) + [SELF, None, "s99"]
+            for _ in range(8):
+                movers = rng.sample(p.students, rng.randint(0, len(p.students)))
+                movers += rng.sample(["i99", "x"], rng.choice([0, 0, 0, 1, 2]))
+                changes = {i: rng.choice(targets) for i in movers}
+                got = outcome(lambda: mu.reassign(changes))
+                assert got == outcome(lambda: Matching(p, {**mu.assignment, **changes})), (
+                    mu.literal(), changes)
+                kinds[got[1].split(" ", 1)[0] if got[0] is ValidationError else "ok"] += 1
+        # every outcome occurs: a matching, and each of the three exceptions
+        assert set(kinds) == {"ok", "assignment", "student", "school"}
+        assert min(kinds.values()) > 100
 
 
 class TestIndividualRationality:

@@ -21,8 +21,9 @@ from schoolchoice import (
 )
 from schoolchoice.model import SELF
 from schoolchoice.paths import ConstructionLog, IdentityError
+from schoolchoice.textio import dump_certificate, load_certificate
 
-from conftest import matching_of, random_problem
+from conftest import matching_of, random_matching, random_problem
 
 BUILDERS = {
     "ttc": (build_path_to_ttc, run_ttc),
@@ -199,6 +200,39 @@ class TestRandomInstances:
                     cert = builder(p, mu)
                     assert cert.end == target, (name, p, mu.literal())
                     assert validate_path(p, cert) is None, (name, p, mu.literal())
+
+
+def market_problem(rng, n, m):
+    """n students and m schools with about n seats in all; each student
+    lists a random subset of the schools in random order."""
+    students = tuple(f"i{k}" for k in range(1, n + 1))
+    schools = tuple(f"s{k}" for k in range(1, m + 1))
+    quotas = {s: max(1, round(rng.uniform(0.6, 1.6) * n / m)) for s in schools}
+    prefs = {i: tuple(rng.sample(schools, rng.randint(0, m))) for i in students}
+    prios = {s: tuple(rng.sample(students, n)) for s in schools}
+    return Problem(students, schools, quotas, prefs, prios)
+
+
+class TestCertificateRoundTrip:
+    def test_builder_certificates_survive_json(self):
+        rng = random.Random(1414)
+        built = 0
+        for n in range(10, 41, 2):
+            p = market_problem(rng, n, rng.randint(3, 8))
+            start = random_matching(rng, p)
+            for name, (builder, _) in BUILDERS.items():
+                try:
+                    cert = builder(p, start)
+                except IdentityError:
+                    continue
+                built += 1
+                back = load_certificate(p, dump_certificate(cert))
+                assert back.matchings == cert.matchings, name
+                assert [st.coalition for st in back.steps] == [
+                    st.coalition for st in cert.steps], name
+                assert back.horizon == cert.horizon, name
+                assert str(validate_path(p, back)) == str(validate_path(p, cert)), name
+        assert built >= 60
 
 
 def parsed(students, schools, quotas, prefs, prios):
