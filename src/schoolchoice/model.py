@@ -77,7 +77,9 @@ class Problem:
     Priorities are strict orderings of all students, highest first.
 
     The constructor raises ValidationError, whose `diagnostics` list every
-    violation, unless all identifiers are distinct, every school has a
+    violation, unless all identifiers are distinct and can be written in a
+    matching literal (non-empty, with no whitespace or comma; a school's
+    name has no `->` and is not `self` in any case), every school has a
     quota of at least 1 and a priority order that is a permutation of the
     students, every student has a list of distinct known schools, and no
     quota, list or order is given for an unknown name.
@@ -111,6 +113,20 @@ class Problem:
                   if cidx[s] != k]
         diags += [f"identifier {name!r} used for both a student and a school"
                   for name in sorted(sidx.keys() & cidx.keys())]
+        # a matching literal writes `student->school` terms separated by
+        # commas, with `self` (any case) for staying unmatched; the names
+        # joined by spaces split back into the names just when none is
+        # empty or holds whitespace, which spares most problems the
+        # per-name checks
+        names = list(dict.fromkeys(students + schools))
+        text = " ".join(names)
+        if (text.split() != names or "," in text or "->" in " ".join(schools)
+                or any(s.lower() == "self" for s in schools)):
+            for name in names:
+                if name in cidx and name.lower() == "self":
+                    diags.append(f"school {name!r} is named self, which matching literals reserve")
+                elif name.split() != [name] or "," in name or name in cidx and "->" in name:
+                    diags.append(f"identifier {name!r} cannot be written in a matching literal")
         for s in schools:
             q = quotas.get(s)
             if q is None:
@@ -279,10 +295,30 @@ class Matching:
         return {s: frozenset(v) for s, v in zip(self.problem.schools, members)}
 
     def reassign(self, changes: Mapping[str, object]) -> "Matching":
-        """New matching with the given students reassigned (validated)."""
-        new = self.assignment
-        new.update(changes)
-        return Matching(self.problem, new)
+        """New matching with the given students reassigned (validated).
+
+        Built from this matching's vector: as this one is feasible, only a
+        school that some student enters can go over its quota, so only those
+        are counted.  Given an unknown student or school, or a school over
+        its quota, it raises what `Matching(problem, {**self.assignment,
+        **changes})` raises, by calling just that.
+        """
+        problem = self.problem
+        sidx, cidx, m = problem._sidx, problem._cidx, len(problem.schools)
+        vec = list(self._assign)
+        entered = set()
+        for i, a in changes.items():
+            x = sidx.get(i)
+            k = m if a is SELF or a is None else cidx.get(a)
+            if x is None or k is None:
+                break
+            vec[x] = k
+            entered.add(k)
+        else:
+            entered.discard(m)
+            if all(vec.count(k) <= problem._quota_vec[k] for k in entered):
+                return Matching._from_vector(problem, tuple(vec))
+        return Matching(problem, {**self.assignment, **changes})
 
     def literal(self) -> str:
         names = self.problem.schools + ("self",)

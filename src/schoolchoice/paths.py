@@ -92,13 +92,20 @@ class _PathAccumulator:
 
     def joined(self, moves: dict) -> Matching:
         """The current matching with `moves` (student -> school) realised,
-        shedding occupants of any school pushed past quota."""
+        shedding occupants of any school pushed past quota.
+
+        Each entered school's occupants are read off the current matching's
+        assignment vector."""
         cur = self.current
         changes = dict(moves)
+        students, cidx, assign = self.problem.students, self.problem._cidx, cur._assign
         for s in set(moves.values()):
-            staying = [j for j in cur.roster(s) if j not in moves]
+            k, quota = cidx[s], self.problem.quota(s)
             entering = sum(1 for t in moves.values() if t == s)
-            need = entering + len(staying) - self.problem.quota(s)
+            if assign.count(k) + entering <= quota:
+                continue  # room for every newcomer, whoever stays
+            staying = [j for j, x in zip(students, assign) if x == k and j not in moves]
+            need = entering + len(staying) - quota
             if need > 0:
                 for j in self.shed_candidates(staying, s, need):
                     changes[j] = SELF

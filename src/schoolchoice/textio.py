@@ -144,42 +144,60 @@ def serialize_instance(problem: Problem) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: One `student->school` term of a matching literal.
+#: One `student->school` term of a matching literal; the student pattern is
+#: greedy, so a term with several arrows splits at the last.
 _TERM = re.compile(r"(\S+)\s*->\s*(\S+)")
 
 
 def parse_matching(problem: Problem, literal: str) -> Matching:
-    """Parse a `student->school` matching literal against a problem."""
+    """Parse a `student->school` matching literal against a problem.
+
+    A term of the plain form `student->school` (or `student->self`) is
+    looked up directly; any other term goes through `_TERM`, which gives
+    the diagnostics.  Both read a term alike, as the problem's names hold
+    no whitespace or comma and its school names no `->` and no `self`.
+    """
     diags = []
-    assignment: dict = {}
     sidx, cidx = problem._sidx, problem._cidx
+    m = len(problem.schools)
+    vec = [None] * len(problem.students)
+    held = [0] * (m + 1)
     for term in literal.split(","):
-        term = term.strip()
-        if not term:
-            continue
-        m = _TERM.fullmatch(term)
-        if not m:
-            diags.append(f"malformed term {term!r}")
-            continue
-        i, target = m.groups()
-        if i not in sidx:
-            diags.append(f"unknown student {i!r}")
-            continue
-        if i in assignment:
+        i, _, target = term.strip().partition("->")
+        x, k = sidx.get(i), cidx.get(target)
+        if k is None and target.lower() == "self":
+            k = m
+        if x is None or k is None:
+            term = term.strip()
+            if not term:
+                continue
+            match = _TERM.fullmatch(term)
+            if not match:
+                diags.append(f"malformed term {term!r}")
+                continue
+            i, target = match.groups()
+            x = sidx.get(i)
+            if x is None:
+                diags.append(f"unknown student {i!r}")
+                continue
+            k = m if target.lower() == "self" else cidx.get(target)
+        if vec[x] is not None:
             diags.append(f"student {i!r} assigned twice")
             continue
-        if target.lower() == "self":
-            assignment[i] = SELF
-        elif target in cidx:
-            assignment[i] = target
-        else:
+        if k is None:
             diags.append(f"unknown school {target!r}")
-    missing = [i for i in problem.students if i not in assignment]
-    if missing:
+            continue
+        vec[x] = k
+        held[k] += 1
+    if None in vec:
+        missing = [i for i, k in zip(problem.students, vec) if k is None]
         diags.append(f"students missing from literal: {', '.join(missing)}")
     if diags:
         raise InstanceParseError(diags)
-    return problem.matching(assignment)
+    mu = Matching._from_vector(problem, tuple(vec))
+    if any(h > q for h, q in zip(held, problem._quota_vec)):
+        return problem.matching(mu.assignment)  # raises the constructor's quota error
+    return mu
 
 
 # --------------------------------------------------------------------------

@@ -81,6 +81,16 @@ class TestInstanceFormat:
             parse_instance(text)
         assert any("out of order" in d for d in err.value.diagnostics)
 
+    def test_names_a_literal_cannot_carry(self):
+        # a school `Self` would read back from a literal as staying unmatched
+        text = TRADING_INSTANCE.replace("s3", "Self").replace("s2", "s,2")
+        with pytest.raises(InstanceParseError) as err:
+            parse_instance(text)
+        assert err.value.diagnostics == [
+            "identifier 's,2' cannot be written in a matching literal",
+            "school 'Self' is named self, which matching literals reserve",
+        ]
+
 
 class TestMatchingLiterals:
     def test_round_trip(self):

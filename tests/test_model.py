@@ -111,6 +111,29 @@ class TestValidateProblem:
          ["no priority order for school 's1'",
           "priority of 's2' is not a permutation of the students",
           "priority order for unknown school 's8'"]),
+        # `self` in any case is the unmatched target of a literal; each
+        # distinct name gets one diagnostic, duplicates and all
+        ((("i1", "self"), ("Self", "SELF", "s->1", "Self"),
+          {"Self": 1, "SELF": 1, "s->1": 1},
+          {"i1": (), "self": ()},
+          {s: ("i1", "self") for s in ("Self", "SELF", "s->1")}),
+         ["duplicate school identifier 'Self'",
+          "school 'Self' is named self, which matching literals reserve",
+          "school 'SELF' is named self, which matching literals reserve",
+          "identifier 's->1' cannot be written in a matching literal"]),
+        ((("i 1", "i,2", "", "i\t3", "i->4"), ("s 1", "s,2"), {"s 1": 1, "s,2": 1},
+          {"i 1": (), "i,2": (), "": (), "i\t3": (), "i->4": ()},
+          {s: ("i 1", "i,2", "", "i\t3", "i->4") for s in ("s 1", "s,2")}),
+         ["identifier 'i 1' cannot be written in a matching literal",
+          "identifier 'i,2' cannot be written in a matching literal",
+          "identifier '' cannot be written in a matching literal",
+          "identifier 'i\\t3' cannot be written in a matching literal",
+          "identifier 's 1' cannot be written in a matching literal",
+          "identifier 's,2' cannot be written in a matching literal"]),
+        # a space in one name and an empty other name leave as many parts
+        ((("i 1", ""), ("s1",), {"s1": 1}, {"i 1": (), "": ()}, {"s1": ("i 1", "")}),
+         ["identifier 'i 1' cannot be written in a matching literal",
+          "identifier '' cannot be written in a matching literal"]),
     ])
     def test_every_diagnostic_kind(self, problem, diagnostics):
         with pytest.raises(ValidationError) as err:
