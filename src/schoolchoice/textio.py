@@ -163,12 +163,12 @@ def parse_matching(problem: Problem, literal: str) -> Matching:
     vec = [None] * len(problem.students)
     held = [0] * (m + 1)
     for term in literal.split(","):
-        i, _, target = term.strip().partition("->")
+        term = term.strip()
+        i, _, target = term.partition("->")
         x, k = sidx.get(i), cidx.get(target)
         if k is None and target.lower() == "self":
             k = m
         if x is None or k is None:
-            term = term.strip()
             if not term:
                 continue
             match = _TERM.fullmatch(term)
