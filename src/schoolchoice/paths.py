@@ -98,14 +98,12 @@ class _PathAccumulator:
         assignment vector."""
         cur = self.current
         changes = dict(moves)
-        students, cidx, assign = self.problem.students, self.problem._cidx, cur._assign
+        students, cidx = self.problem.students, self.problem._cidx
         for s in set(moves.values()):
-            k, quota = cidx[s], self.problem.quota(s)
+            k = cidx[s]
+            staying = [j for j, x in zip(students, cur._assign) if x == k and j not in moves]
             entering = sum(1 for t in moves.values() if t == s)
-            if assign.count(k) + entering <= quota:
-                continue  # room for every newcomer, whoever stays
-            staying = [j for j, x in zip(students, assign) if x == k and j not in moves]
-            need = entering + len(staying) - quota
+            need = entering + len(staying) - self.problem.quota(s)
             if need > 0:
                 for j in self.shed_candidates(staying, s, need):
                     changes[j] = SELF
