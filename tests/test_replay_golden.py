@@ -1,11 +1,13 @@
 """Byte-level guard on mechanism traces and builder certificates.
 
-Each instance maps to one sha256 digest over every mechanism's outcome and
-trace (including the clinch-round guarantees the serializers leave out) and,
-from up to 20 seeded starts, every builder's certificate, construction log
-and `validate_path` / horizon-3 verdicts.  The digests in
-`replay_golden.json` were recorded before the mechanisms and builders were
-refactored; a mismatch names the instance whose behaviour changed.
+Each instance maps to one sha256 digest per part: `mechanisms` over every
+mechanism's outcome and trace (including the clinch-round guarantees the
+serializers leave out), and one per builder (`ttc`, `fct`, `ct`, `ettc`)
+over, from up to 20 seeded starts, its certificate, construction log and
+`validate_path` / horizon-3 verdicts.  The digests in `replay_golden.json`
+were recorded before the mechanisms and builders were refactored; a
+mismatch names the instance and the part whose behaviour changed, and a
+re-recording shows in the diff which parts moved.
 
 After an intended behaviour change, regenerate the file with
 `PYTHONPATH=src python tests/test_replay_golden.py`.
@@ -96,18 +98,17 @@ def _builder_record(problem, builder, start) -> dict:
     }
 
 
-def digest(problem, seed: int) -> str:
+def _sha(record) -> str:
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+
+def digest(problem, seed: int) -> dict:
     universe = enumerate_matchings(problem)
     starts = random.Random(seed).sample(universe, min(STARTS, len(universe)))
-    record = {
-        "mechanisms": _mechanism_record(problem),
-        "builders": {
-            name: [_builder_record(problem, builder, mu) for mu in starts]
-            for name, builder in BUILDERS.items()
-        },
-    }
-    text = json.dumps(record, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
+    out = {"mechanisms": _sha(_mechanism_record(problem))}
+    for name, builder in BUILDERS.items():
+        out[name] = _sha([_builder_record(problem, builder, mu) for mu in starts])
+    return out
 
 
 def all_digests(worked: dict) -> dict:
@@ -122,7 +123,12 @@ def test_traces_and_certificates_match_golden(request):
     golden = json.loads(GOLDEN.read_text())
     got = all_digests(worked)
     assert sorted(got) == sorted(golden)
-    changed = [name for name in golden if got[name] != golden[name]]
+    changed = [
+        f"{name}:{part}"
+        for name in golden
+        for part in sorted(set(golden[name]) | set(got[name]))
+        if got[name].get(part) != golden[name].get(part)
+    ]
     assert not changed, f"behaviour changed on {changed}"
 
 
