@@ -281,14 +281,9 @@ class Matching:
         options = self.problem._options
         return {i: options[k] for i, k in zip(self.problem.students, self._assign)}
 
-    def roster(self, s: str) -> frozenset:
-        """The students at s, added in student order."""
-        k = self.problem._cidx[s]
-        return frozenset([i for i, x in zip(self.problem.students, self._assign) if x == k])
-
     @property
     def rosters(self) -> dict:
-        """Every school's roster, in one pass; each added in student order as in roster."""
+        """Every school's roster, in one pass; each added in student order."""
         members = [[] for _ in self.problem._options]
         for i, k in zip(self.problem.students, self._assign):
             members[k].append(i)

@@ -1,30 +1,43 @@
 """Constructive farsighted improving paths toward mechanism outcomes.
 
 Each builder replays the trace of its mechanism, converting every trading
-cycle (and, where applicable, every clinch round) into a short block of
-enforceable moves:
+block (a TTC/FCT/CT cycle, or all the pair cycles of one ETTC step) and,
+where applicable, every clinch round into a short block of enforceable
+moves.  In a block each student holds one or more seats (in a cycle, the
+one at the school pointing at her; in ETTC, one per pair she has in the
+step's cycles) and is bound for one school:
 
-* cycle insertion: cycle students grab a seat at the school pointing at
-  them inside the cycle, evicting the lowest-priority occupant of a full
-  school that holds none of them;
-* vacate: the cycle students give those seats up together;
-* rematch: they join the schools they point at, which now hold free seats.
+* insertion: each block student grabs her first held seat, evicting the
+  lowest-priority occupant of a full school that holds none of them;
+* vacate: the block students give those seats up together;
+* seat hand-off: a school left with fewer free seats than the block
+  students bound for it is entered together by every block student holding
+  a seat there.  They are its heirs, so it sheds squatters they all
+  outrank; those not bound for it leave again.  A cycle leaves no school
+  short;
+* rematch: they join the schools they are bound for, which now hold free
+  seats.
 
-Already-realised matches are skipped and no-op moves are elided.  A move
-that would revisit an earlier matching truncates the loop instead, so the
-emitted sequence always consists of distinct matchings.  Students whose
-blocks have already been replayed are settled; evictions prefer unsettled
-squatters so realised matches stay put.  When a simultaneous block move is
-not enforceable (for instance a school losing two cycle students while
-admitting one cannot satisfy the replacement condition), the builder falls
-back to vacating the movers first, which restores one-in-one-out moves.
+A block whose every student holds just the seat she is bound for (a
+one-student cycle) is a single join.  Already-realised matches are skipped
+and no-op moves are elided.  A move that would revisit an earlier matching
+truncates the loop instead, so the emitted sequence always consists of
+distinct matchings; hence a hand-off is made only where the school sheds
+someone, as entering and leaving a school with room would be undone.
+Students whose blocks have already been replayed are settled; evictions
+prefer unsettled squatters so realised matches stay put.  When a
+simultaneous block move is not enforceable (for instance a school losing
+two block students while admitting one cannot satisfy the replacement
+condition), the builder falls back to vacating the movers first, which
+restores one-in-one-out moves.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .model import SELF, Matching, Problem, SchoolChoiceError
-from .mechanisms import Cycle, run_ct, run_ettc, run_fct, run_ttc
+from .mechanisms import run_ct, run_ettc, run_fct, run_ttc
 from .farsight import Coalition, MoveStep, PathCertificate, _step_violation
 
 
@@ -116,12 +129,18 @@ class _PathAccumulator:
         Given a `clear` detail, a move the validator would reject (say, one
         school losing several movers while admitting one) is preceded by
         the movers giving up their seats, which restores one-in-one-out
-        moves.
+        moves.  Only a school that movers both leave and join can turn
+        from rejecting to admitting that way, so the validator is asked
+        only when some mover sits at a school joined.
         """
+        cur = self.current
         schools = set(moves.values())
         target = self.joined(moves)
-        if clear is not None and target != self.current and _step_violation(
-            self.problem, self.current, target, Coalition(moves, schools), self.final
+        if (
+            clear is not None
+            and target != cur
+            and any(cur.school_of(i) in schools for i in moves)
+            and _step_violation(self.problem, cur, target, Coalition(moves, schools), self.final)
         ):
             self.vacate(moves, phase, clear)
             target = self.joined(moves)
@@ -135,30 +154,38 @@ def _vacate_self_bound(acc: _PathAccumulator, students, label: str):
         acc.settled.add(j)
 
 
-def _cycle_block(acc: _PathAccumulator, cyc: Cycle, label: str):
-    """Emit the insertion / vacate / rematch moves realising one cycle."""
-    students = list(cyc.students)
-    if cyc.is_self_cycle:
-        _vacate_self_bound(acc, students, label)
-        return
-    targets = cyc.assignments()
+def _cycle_block(acc: _PathAccumulator, seats: dict, targets: dict, label: str, name: str):
+    """Emit the moves sending each student i to targets[i]; seats[i] lists
+    the schools whose seats she holds, first the one she takes at
+    insertion."""
+    students = list(targets)
     if all(acc.current.school_of(i) == targets[i] for i in students):
         acc.settled.update(students)
         return
-    if len(students) == 1:
-        # the school pointing at the student is the one she points back to
-        acc.join(targets, label, f"cycle {cyc}")
+    if all(seats[i] == [targets[i]] for i in students):
+        # the seats held are the seats wanted
+        acc.join(targets, label, f"cycle {name}", clear=f"clear {name}")
         acc.settled.update(students)
         return
-    # insertion: everyone in the cycle takes the seat of the school pointing
-    # at her; a full cycle school holding no cycle student sheds its
-    # lowest-priority occupant; when one school would lose several cycle
-    # students at once, the movers give up their seats first
-    acc.join(cyc.inbound(), label, f"insert {cyc}", clear=f"clear {cyc}")
-    # vacate: the cycle students free all their freshly taken seats at once
-    acc.vacate(students, label, f"vacate {cyc}")
-    # rematch: everyone joins the school she points at inside the cycle
-    acc.join(targets, label, f"rematch {cyc}")
+    # insertion: everyone takes her first seat; a full school holding no
+    # block student sheds its lowest-priority occupant; when one school
+    # would lose several block students at once, the movers give up their
+    # seats first
+    first = {i: seats[i][0] for i in students}
+    acc.join(first, label, f"insert {name}", clear=f"clear {name}")
+    # vacate: the block students free all their freshly taken seats at once
+    acc.vacate(students, label, f"vacate {name}")
+    # seat hand-off at each school short of free seats
+    problem = acc.problem
+    for s in sorted(set(targets.values()), key=problem.school_index):
+        bound = sum(1 for t in targets.values() if t == s)
+        free = problem.quota(s) - acc.current._assign.count(problem._cidx[s])
+        if free < bound:
+            heirs = [i for i in students if s in seats[i]]
+            acc.join(dict.fromkeys(heirs, s), label, f"hand off {s} {name}")
+            acc.vacate([i for i in heirs if targets[i] != s], label, f"leave {s} {name}")
+    # rematch: everyone joins her target, which now holds a free seat
+    acc.join(targets, label, f"rematch {name}")
     acc.settled.update(students)
 
 
@@ -187,10 +214,15 @@ def _replay(problem: Problem, mu: Matching, runner, outcome: str, log) -> PathCe
         raise IdentityError(f"matching already equals the {outcome} outcome")
     acc = _PathAccumulator(problem, mu, target, log or ConstructionLog())
     for step in trace.steps:
+        label = f"step {step.step}"
         for rnd in step.clinch_rounds:
-            _alignment_block(acc, rnd.clinches, f"step {step.step}")
+            _alignment_block(acc, rnd.clinches, label)
         for cyc in step.cycles:
-            _cycle_block(acc, cyc, f"step {step.step}")
+            if cyc.is_self_cycle:
+                _vacate_self_bound(acc, cyc.students, label)
+            else:
+                seats = {i: [s] for i, s in cyc.inbound().items()}
+                _cycle_block(acc, seats, cyc.assignments(), label, str(cyc))
     return _finish(acc, target)
 
 
@@ -223,87 +255,18 @@ def build_path_to_ettc(
     if mu == target:
         raise IdentityError("matching already equals the pairwise trading outcome")
     acc = _PathAccumulator(problem, mu, target, log or ConstructionLog())
-    pending: dict = {}  # student -> final school, joined in one deferred move
-
-    def fits_with_pending(i: str, s: str) -> bool:
-        taken = len(acc.current.roster(s)) + sum(1 for t in pending.values() if t == s)
-        return taken < problem.quota(s)
-
-    def flush(label: str):
-        todo = {i: s for i, s in pending.items() if acc.current.school_of(i) != s}
-        acc.settled.update(pending)
-        pending.clear()
-        if todo:
-            acc.join(todo, label, f"rematch {sorted(todo.items())}")
-
     for step in trace.steps:
         label = f"step {step.step}"
         # students the round leaves unmatched give up any seat they hold
-        self_bound = sorted(
-            (i for i, a in step.matches.items() if a is SELF),
-            key=problem.student_index,
-        )
-        if self_bound:
-            flush(label)
-            _vacate_self_bound(acc, self_bound, label)
-        for pcyc in step.pair_cycles:
-            # a student appearing in several cycles of one step is matched
-            # once; later cycles only dissolve her remaining seats
-            cyc_students = [
-                i
-                for i in dict.fromkeys(i for i, _ in pcyc)
-                if i not in acc.settled and i not in pending
-            ]
-            if not cyc_students:
-                continue
-            finals = {i: step.matches[i] for i in cyc_students}
-            if all(acc.current.school_of(i) == finals[i] for i in cyc_students):
-                acc.settled.update(cyc_students)
-                continue
-            held: dict = {}
-            for i, s in pcyc:
-                held.setdefault(i, [])
-                if s not in held[i]:
-                    held[i].append(s)
-            for i in held:
-                held[i].sort(key=problem.school_index)
-            first_seat = {i: held[i][0] for i in cyc_students}
-            if (
-                len(pcyc) == 1
-                and first_seat[cyc_students[0]] == finals[cyc_students[0]]
-                and acc.current.school_of(cyc_students[0]) is SELF
-                and fits_with_pending(cyc_students[0], finals[cyc_students[0]])
-            ):
-                # a lone self-resolving pair folds into the deferred rematch
-                pending[cyc_students[0]] = finals[cyc_students[0]]
-                continue
-            flush(label)
-            # seat-taking move: each cycle student occupies the first school
-            # of her held seats, full schools shedding enough low-priority
-            # outside occupants
-            acc.join(first_seat, label, f"seat {sorted(first_seat.items())}", clear="clear")
-            if all(acc.current.school_of(i) == finals[i] for i in cyc_students):
-                acc.settled.update(cyc_students)
-                continue
-            # vacate together
-            acc.vacate(cyc_students, label, "vacate")
-            # students holding several seats free the remaining ones: a full
-            # school is entered (displacing its weakest occupant) and left
-            # again, except that a student reaching her own final school
-            # simply stays
-            seated = set()
-            for i in cyc_students:
-                for s in held[i][1:]:
-                    if len(acc.current.roster(s)) < problem.quota(s):
-                        continue
-                    acc.join({i: s}, label, f"hop {i}->{s}")
-                    if s == finals[i]:
-                        seated.add(i)
-                        acc.settled.add(i)
-                        break
-                    acc.vacate({i}, label, f"hop {i}<-{s}")
-            for i in cyc_students:
-                if i not in seated:
-                    pending[i] = finals[i]
-    flush("final")
+        self_bound = [i for i, a in step.matches.items() if a is SELF]
+        _vacate_self_bound(acc, sorted(self_bound, key=problem.student_index), label)
+        # the step's pair cycles form one block; a student in several
+        # cycles holds several seats
+        seats: dict = {}
+        for i, s in chain.from_iterable(step.pair_cycles):
+            seats.setdefault(i, []).append(s)
+        if seats:
+            seats = {i: sorted(held, key=problem.school_index) for i, held in seats.items()}
+            name = " ".join(f"({i},{','.join(held)})" for i, held in seats.items())
+            _cycle_block(acc, seats, {i: step.matches[i] for i in seats}, label, name)
     return _finish(acc, target)

@@ -504,8 +504,9 @@ def oracle_edge(problem, a, b, ref, replacement=True, departure=True):
         if xa is not SELF:
             losses.setdefault(xa, []).append(i)
     replaced = set()
+    held, seated = a.rosters, ref.rosters
     for s, incoming in gains.items():
-        old = a.roster(s)
+        old = held[s]
         if replacement and len(old) + len(incoming) > problem.quota(s):
             left = sorted(losses.get(s, []), key=lambda j: problem.priority_rank(s, j))
             come = sorted(incoming, key=lambda j: problem.priority_rank(s, j))
@@ -524,7 +525,7 @@ def oracle_edge(problem, a, b, ref, replacement=True, departure=True):
         if ra < rc:
             strict = True
         s = b.school_of(i)
-        roster = ref.roster(s)
+        roster = seated[s]
         if i not in roster and not any(
             problem.higher_priority(s, i, j) for j in roster
         ):
@@ -662,11 +663,12 @@ class TestEdgeKernel:
         replaced_edges = 0
         for p, universe, refs in kernel_instances():
             oracle = _EdgeOracle(p, universe)
+            rosters = [mu.rosters for mu in universe]
             for x, a in enumerate(universe):
                 for y, b in enumerate(universe):
                     over = [
                         s for s in p.schools
-                        if len(a.roster(s) | b.roster(s)) > p.quota(s)
+                        if len(rosters[x][s] | rosters[y][s]) > p.quota(s)
                     ]
                     if over:
                         admissible = all(school_move_admissible(p, s, a, b) for s in over)

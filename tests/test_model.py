@@ -200,12 +200,13 @@ class TestMatchingInvariants:
 
     def test_roster_consistency(self, trading_instance, trading_goldens):
         mu = trading_goldens["ttc"]
+        rosters = mu.rosters
         for i in trading_instance.students:
             a = mu.school_of(i)
             if a is not SELF:
-                assert i in mu.roster(a)
+                assert i in rosters[a]
         for s in trading_instance.schools:
-            for i in mu.roster(s):
+            for i in rosters[s]:
                 assert mu.school_of(i) == s
 
 
@@ -231,14 +232,11 @@ class TestMatchingViews:
                 seen_self += SELF in seat.values()
                 assert mu.assignment == seat
                 assert all(mu.school_of(i) is seat[i] for i in p.students)
-                rosters = {}
-                for s in p.schools:
-                    members = frozenset(i for i in p.students if seat[i] == s)
-                    assert mu.roster(s) == members
-                    # built in student order, so iteration order matches too
-                    assert list(mu.roster(s)) == list(members)
-                    rosters[s] = members
+                rosters = {
+                    s: frozenset(i for i in p.students if seat[i] == s) for s in p.schools
+                }
                 assert mu.rosters == rosters
+                # built in student order, so iteration order matches too
                 assert all(list(mu.rosters[s]) == list(r) for s, r in rosters.items())
                 assert mu.literal() == ", ".join(
                     f"{i}->{'self' if seat[i] is SELF else seat[i]}" for i in p.students

@@ -84,6 +84,7 @@ class TestWalkthroughSequences:
             "i1->s1, i2->s3, i3->s2, i4->s1",
             "i1->s2, i2->s1, i3->self, i4->s1",
             "i1->self, i2->self, i3->self, i4->self",
+            "i1->s1, i2->s3, i3->self, i4->s2",
             "i1->s1, i2->s3, i3->s1, i4->s2",
         ]
         coalitions = [
@@ -93,7 +94,8 @@ class TestWalkthroughSequences:
         assert coalitions == [
             (["i1", "i2", "i4"], ["s1", "s2"]),
             (["i1", "i2", "i4"], []),
-            (["i1", "i2", "i3", "i4"], ["s1", "s2", "s3"]),
+            (["i1", "i2", "i4"], ["s1", "s2", "s3"]),
+            (["i3"], ["s1"]),
         ]
 
 
@@ -213,6 +215,22 @@ def market_problem(rng, n, m):
     return Problem(students, schools, quotas, prefs, prios)
 
 
+class TestMarketStarts:
+    def test_certificates_validate(self):
+        # sized so that an ETTC replay without the seat hand-off fails here
+        rng = random.Random(1414)
+        for _ in range(400):
+            p = market_problem(rng, rng.randint(10, 40), rng.randint(3, 8))
+            start = random_matching(rng, p)
+            for name, (builder, _) in BUILDERS.items():
+                try:
+                    cert = builder(p, start)
+                except IdentityError:
+                    continue
+                violation = validate_path(p, cert)
+                assert violation is None, (name, p, start.literal(), str(violation))
+
+
 class TestCertificateRoundTrip:
     def test_builder_certificates_survive_json(self):
         rng = random.Random(1414)
@@ -246,9 +264,9 @@ def parsed(students, schools, quotas, prefs, prios):
 
 
 class TestKnownBuilderDefects:
-    """Defects of the builders that reproduce today; a fix flips these."""
+    """Builder defects, each reproduced on one small instance; an xfail
+    marks one still open."""
 
-    @pytest.mark.xfail(strict=True, reason="step 5: school s1 cannot admit its newcomers")
     def test_seat_trading_certificate_validates(self):
         p = parsed(
             "i1 i2 i3 i4", "s1 s2 s3", {"s1": 1, "s2": 2, "s3": 2},
