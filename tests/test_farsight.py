@@ -20,6 +20,7 @@ from schoolchoice import (
     find_enforcing_coalition,
     find_singleton_stable_sets,
     find_stable_sets,
+    is_individually_rational,
     phi,
     phi_horizon,
     reachability_matrix,
@@ -207,6 +208,43 @@ class TestSchoolMoveAdmissible:
         b = matching_of(trading_instance, i1="s1", i2="s1", i3="self", i4="self")
         # i2 (rank 4 at s1) cannot replace i3 (rank 2)
         assert not school_move_admissible(trading_instance, "s1", a, b)
+
+    @pytest.mark.parametrize("quota", [1, 2, 3])
+    def test_every_roster_pair_against_injections(self, quota):
+        # one school over six students, every pair of rosters its quota
+        # allows: past the quota, admissible exactly when some injection
+        # maps the leavers to distinct newcomers of higher priority
+        students = tuple(f"i{k}" for k in range(1, 7))
+        order = ("i4", "i1", "i6", "i2", "i5", "i3")
+        p = Problem(
+            students, ("s1",), {"s1": quota}, {i: ("s1",) for i in students}, {"s1": order}
+        )
+        rank = {i: r for r, i in enumerate(order)}
+        rosters = [
+            frozenset(roster)
+            for size in range(quota + 1) for roster in itertools.combinations(students, size)
+        ]
+        matchings = [
+            p.matching({i: "s1" if i in roster else SELF for i in students}) for roster in rosters
+        ]
+        over = {True: 0, False: 0}
+        widest = 0  # most leavers replaced in one admissible move
+        for old, a in zip(rosters, matchings):
+            for new, b in zip(rosters, matchings):
+                joiners, leavers = sorted(new - old), sorted(old - new)
+                if len(old) + len(joiners) <= quota:
+                    expect = True
+                else:
+                    expect = any(
+                        all(rank[j] < rank[i] for i, j in zip(leavers, pick))
+                        for pick in itertools.permutations(joiners, len(leavers))
+                    )
+                    over[expect] += 1
+                    if expect:
+                        widest = max(widest, len(leavers))
+                assert school_move_admissible(p, "s1", a, b) == expect, (old, new)
+        assert over[True] and over[False]
+        assert widest == quota
 
 
 class TestFindEnforcingCoalition:
@@ -638,8 +676,11 @@ class TestReachabilityOracle:
 
 
 def kernel_instances():
-    """30 seeded instances of 4-5 students, two schools and at most 40
-    matchings, each with three lookahead indices."""
+    """34 seeded instances, each with three lookahead indices: 30 of 4-5
+    students, two schools and at most 40 matchings; then 4 of six students
+    and three schools, one of quota 3, whose universe is the individually
+    rational matchings that fill that school (44 of them), so that a move
+    can replace three leavers at once."""
     rng = random.Random(404)
     instances = 0
     while instances < 30:
@@ -655,12 +696,27 @@ def kernel_instances():
             continue
         instances += 1
         yield p, universe, rng.sample(range(len(universe)), 3)
+    rng = random.Random(405)
+    students = tuple(f"i{k}" for k in range(1, 7))
+    schools = ("s1", "s2", "s3")
+    for _ in range(4):
+        prefs = {i: ("s1",) for i in students}
+        for i, s in zip(rng.sample(students, 2), ("s2", "s3")):
+            prefs[i] = tuple(rng.sample(("s1", s), 2))
+        prios = {s: tuple(rng.sample(students, 6)) for s in schools}
+        p = Problem(students, schools, {"s1": 3, "s2": 1, "s3": 1}, prefs, prios)
+        universe = [
+            mu for mu in enumerate_matchings(p)
+            if is_individually_rational(p, mu) and len(mu.rosters["s1"]) == 3
+        ]
+        yield p, universe, rng.sample(range(len(universe)), 3)
 
 
 class TestEdgeKernel:
     def test_matches_independent_oracle_edge(self):
         replacement = {True: 0, False: 0}  # over-capacity moves by injection outcome
         replaced_edges = 0
+        widest = 0  # most leavers one school replaces on an edge
         for p, universe, refs in kernel_instances():
             oracle = _EdgeOracle(p, universe)
             rosters = [mu.rosters for mu in universe]
@@ -678,8 +734,13 @@ class TestEdgeKernel:
                         got = bool(allowed >> t & 1)
                         assert got == oracle_edge(p, a, b, universe[t]), (x, y, t)
                         replaced_edges += got and bool(over)
+                        if got:
+                            widest = max([widest] + [
+                                len(rosters[x][s] - rosters[y][s]) for s in over
+                            ])
         assert replacement[True] and replacement[False]
         assert replaced_edges
+        assert widest == 3
 
     def test_bitset_sets_match_edge(self):
         # pairs the bitsets drop that would pass without the replacement
@@ -808,6 +869,35 @@ def fresh_answers(monkeypatch, p, uni):
     with monkeypatch.context() as m:
         m.setattr(farsight, "_oracle", _EdgeOracle)
         return [search() for search in searches(p, uni)]
+
+
+class TestUniverseOrder:
+    def test_shuffled_universe_gives_the_same_answers(
+        self, trading_instance, trading_universe
+    ):
+        # roster ids and every bitset follow the universe's order; the
+        # answers, as matchings, must not
+        rng = random.Random(1515)
+        cases = [(trading_instance, trading_universe)]
+        while len(cases) < 5:
+            p = random_problem(rng, 4, 3)
+            uni = enumerate_matchings(p)
+            if 10 <= len(uni) <= 80:
+                cases.append((p, uni))
+        for p, uni in cases:
+            ttc, da = run_ttc(p)[0], run_da(p)
+            shuffled = rng.sample(uni, len(uni))
+            checks = [
+                lambda u, c=c, h=h, d=d: check_stable_set(p, c, horizon=h, universe=u, depth_cap=d)
+                for c in ([ttc], [da], [ttc, da])
+                for h, d in ((FARSIGHTED, None), (2, 3), (3, 3))
+            ]
+            checks += [
+                lambda u, mu=mu, k=k: phi_horizon(p, mu, k, depth_cap=3, universe=u)
+                for mu in (uni[0], uni[-1], da) for k in (1, 2, 3)
+            ]
+            for check in checks:
+                assert check(shuffled) == check(uni)
 
 
 class TestSharedOracle:
