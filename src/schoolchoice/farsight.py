@@ -36,9 +36,10 @@ universe, all Python-int bitsets over universe indices: a roster index
 (the matchings that seat each student at each seat, and those that give
 each school each of its rosters) and lookahead tables (the matchings that
 seat each student strictly, and weakly, above each seat, and those that
-anchor her claim at each school).  What a school does with a move depends
-only on its roster before and after; that verdict (blocked, leavers
-replaced, or leavers unreplaced) is memoised per roster pair.
+anchor her claim at each school).  A school's verdict on a move (blocked,
+leavers replaced, or leavers unreplaced) depends only on its roster before
+and after, read as bitsets over its priority ranks, and is memoised per
+roster in per-school lists.
 
 `_EdgeOracle.edge` is the structural screen of one pair: someone moves and
 no school blocks.  What a move owes the lookahead is read from the
@@ -60,12 +61,14 @@ kept alive (|U|²-bit `direct` masks too) until a search elsewhere replaces it.
 
 The checkers work on assignment vectors too, with no per-school roster scan:
 one diff of a move's two vectors gives each touched school its joiners and
-leavers, and `can_enforce` and the schools' admission test share it.
+leavers, and `can_enforce` and the schools' admission test share it.  A
+school its newcomers overflow gets the search's verdict, on rank bitsets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import combinations, compress
+from math import comb
 from operator import ne
 from typing import Iterable, Sequence
 
@@ -188,26 +191,27 @@ def _prefix_or(keys: Sequence[int], masks: Sequence[int]) -> tuple[list[int], li
 BLOCKED, REPLACED, UNREPLACED = 0, 1, 2
 
 
-def _school_verdict(
-    quota: int, prio: Sequence[int], held: int, joiners: Sequence[int], leavers: Sequence[int]
-) -> int:
-    """How a school holding `held` students takes a move: joiners arrive,
-    leavers go (student indices).
+def _school_verdict(quota: int, held: int, joined: int, left: int) -> int:
+    """How a school holding `held` students takes a move: the students of
+    the rank bitset `joined` arrive and those of `left` go (bit p is the
+    school's p-th priority student).
 
     UNREPLACED when the old roster plus the newcomers fit the quota: anyone
     who leaves gives up her seat unreplaced.  Otherwise REPLACED when each
-    leaver is matched (greedily) to a distinct newcomer of higher priority,
-    and BLOCKED when not.  prio is the school's priority-rank row, indexed
-    by student; lower ranks come first.
+    leaver is matched (greedily, best first) to a distinct newcomer of
+    higher priority, and BLOCKED when not.
     """
-    if held + len(joiners) <= quota:
+    if held + joined.bit_count() <= quota:
         return UNREPLACED
-    if len(leavers) > len(joiners):
+    if left.bit_count() > joined.bit_count():
         return BLOCKED
-    joined = sorted(prio[i] for i in joiners)
-    if all(j < q for j, q in zip(joined, sorted(prio[i] for i in leavers))):
-        return REPLACED
-    return BLOCKED
+    while left:
+        best = joined & -joined  # the best newcomer not yet paired
+        if best > left & -left:
+            return BLOCKED
+        joined ^= best
+        left &= left - 1
+    return REPLACED
 
 
 def _move_diff(a: Matching, b: Matching) -> dict:
@@ -226,13 +230,14 @@ def _move_diff(a: Matching, b: Matching) -> dict:
 
 
 def _admits(problem: Problem, s: str, a: Matching, moves: dict) -> bool:
-    """`school_move_admissible` on the move's diff."""
+    """`school_move_admissible` on the move's diff; rank bitsets only past the quota."""
     c = problem._cidx[s]
     joiners, leavers = moves.get(c, ((), ()))
-    verdict = _school_verdict(
-        problem._quota_vec[c], problem._prio_rank[c], a._assign.count(c), joiners, leavers
-    )
-    return verdict != BLOCKED
+    held, quota, prio = a._assign.count(c), problem._quota_vec[c], problem._prio_rank[c]
+    if held + len(joiners) <= quota:
+        return True
+    joined = sum(1 << prio[i] for i in joiners)
+    return _school_verdict(quota, held, joined, sum(1 << prio[i] for i in leavers)) != BLOCKED
 
 
 def school_move_admissible(problem: Problem, s: str, a: Matching, b: Matching) -> bool:
@@ -276,10 +281,11 @@ class _EdgeOracle:
     """The search's edge rule over one universe of matchings, on integers.
 
     A matching is its assignment vector (a school index per student, m for
-    SELF) plus, per school, the id of its roster.  For a fixed lookahead
-    matching the validity of a move depends only on its endpoints, so
-    reachability equals plain graph reachability and any walk can be
-    shortened to a sequence of distinct matchings.
+    SELF) plus, per school, the id of its roster, whose students the school
+    keeps as a bitset over its priority ranks (`codes[s][r]`).  For a fixed
+    lookahead matching the validity of a move depends only on its
+    endpoints, so reachability equals plain graph reachability and any walk
+    can be shortened to a sequence of distinct matchings.
 
     A set of matchings is a Python-int bitset over universe indices.  The
     roster index, built once, holds the matchings that seat student i at
@@ -307,7 +313,7 @@ class _EdgeOracle:
             for i, c in enumerate(vec):
                 row[c] |= bit[i]
             held.append(row)
-        self.rosters = []  # per school and roster id, its students
+        self.codes = []  # per school and roster id, its students as a priority-rank bitset
         self.roster_masks = []  # per school and roster id, the matchings with it
         ids = []  # per school, per matching, its roster id
         self.seat = [[0] * (m + 1) for _ in self.students]
@@ -318,10 +324,10 @@ class _EdgeOracle:
             for x, k in enumerate(ids[-1]):
                 members[k].append(x)
             masks = [_bitset(xs) for xs in members]
-            self.rosters.append([frozenset(_members(r)) for r in found])
             self.roster_masks.append(masks)
-            for roster, mask in zip(self.rosters[s], masks):
-                for i in roster:
+            self.codes.append([sum(1 << self.prio[s][i] for i in _members(r)) for r in found])
+            for roster, mask in zip(found, masks):
+                for i in _members(roster):
                     self.seat[i][s] |= mask
         self.above, self.atleast = [], []
         for row, rank in zip(self.seat, problem._pref_rank):
@@ -337,38 +343,32 @@ class _EdgeOracle:
             below, _ = _prefix_or([-r for r in prio], col)  # outranked students first
             self.anchor.append([c | b for c, b in zip(col, below)])
         self.rid = list(zip(*ids)) if m else [()] * len(self.vecs)
-        self._verdicts: dict = {}
-        self._groups: dict = {}
+        self._into = [[None] * len(codes) for codes in self.codes]  # `groups` memos
+        self._out = [[None] * len(codes) for codes in self.codes]
         self._succ: dict = {}
         self._direct: list[int] | None = None
 
     def verdict(self, s: int, before: int, after: int) -> int:
-        """`_school_verdict` of school s between two roster ids, memoised."""
-        key = (s, before, after)
-        got = self._verdicts.get(key)
-        if got is None:
-            held, ends = self.rosters[s][before], self.rosters[s][after]
-            got = self._verdicts[key] = _school_verdict(
-                self.quota[s], self.prio[s], len(held), ends - held, held - ends
-            )
-        return got
+        """`_school_verdict` of school s between two roster ids."""
+        held, ends = self.codes[s][before], self.codes[s][after]
+        return _school_verdict(self.quota[s], held.bit_count(), ends & ~held, held & ~ends)
 
     def groups(self, s: int, r: int, into: bool) -> list[int]:
         """Per verdict, the matchings x whose move at school s gets it.
 
         With into, x holds the roster before a move into roster r; without,
-        x holds the roster after a move out of roster r.  Memoised: two
-        lists of three bitsets per roster, so bounded by the index.
+        x holds the roster after a move out of roster r.  Memoised in a list
+        per school and direction, indexed by roster id, so bounded by the index.
         """
-        key = (s, r, into)
-        got = self._groups.get(key)
+        memo = (self._into if into else self._out)[s]
+        got = memo[r]
         if got is None:
             got = [0, 0, 0]
-            quota, prio, rosters = self.quota[s], self.prio[s], self.rosters[s]
-            for other, mask in zip(rosters, self.roster_masks[s]):
-                held, ends = (other, rosters[r]) if into else (rosters[r], other)
-                got[_school_verdict(quota, prio, len(held), ends - held, held - ends)] |= mask
-            self._groups[key] = got  # stored filled: a shared oracle's memos stay whole
+            quota, code = self.quota[s], self.codes[s][r]
+            for other, mask in zip(self.codes[s], self.roster_masks[s]):
+                held, ends = (other, code) if into else (code, other)
+                got[_school_verdict(quota, held.bit_count(), ends & ~held, held & ~ends)] |= mask
+            memo[r] = got  # stored filled: a shared oracle's memos stay whole
         return got
 
     def student_masks(self, t: int):
@@ -411,10 +411,7 @@ class _EdgeOracle:
         for s in gaining:
             if self.verdict(s, ra[s], rb[s]) == BLOCKED:
                 return None
-        unreplaced = [
-            i for c, i in left
-            if c not in gaining or self.verdict(c, ra[c], rb[c]) == UNREPLACED
-        ]
+        unreplaced = [i for c, i in left if self.verdict(c, ra[c], rb[c]) == UNREPLACED]
         return [i for _, i in joined] + unreplaced, gaining
 
     def looks(self, a: int, b: int) -> int:
@@ -429,7 +426,7 @@ class _EdgeOracle:
         """
         if not self.succ_mask(a) >> b & 1:
             return 0
-        m, ra, rb = self.m, self.rid[a], self.rid[b]
+        m, ra, out = self.m, self.rid[a], self._out  # filled by `succ_mask`
         got, strict, unreplaced = self.all, 0, False
         for i, ca, cb in zip(self.students, self.vecs[a], self.vecs[b]):
             if ca == cb:
@@ -437,7 +434,7 @@ class _EdgeOracle:
             if cb != m:
                 got &= self.atleast[i][ca] & self.anchor[cb][i]
                 strict |= self.above[i][ca]
-            if ca != m and self.verdict(ca, ra[ca], rb[ca]) == UNREPLACED:
+            if ca != m and out[ca][ra[ca]][UNREPLACED] >> b & 1:
                 got &= self.above[i][ca]
                 unreplaced = True
         return got if unreplaced else got & strict
@@ -449,11 +446,11 @@ class _EdgeOracle:
         `looks`, applied to every source at once by AND and OR of masks.
         """
         anchored, weak, strict = masks
-        m, ry = self.m, self.rid[y]
+        m, ry, into = self.m, self.rid[y], self._into
         got = within
         unreplaced = []
         for s in range(m):
-            by = self.groups(s, ry[s], True)
+            by = into[s][ry[s]] or self.groups(s, ry[s], True)
             got &= ~by[BLOCKED]
             unreplaced.append(by[UNREPLACED])
         improver = 0  # someone strictly prefers the lookahead
@@ -946,9 +943,6 @@ def find_stable_sets(
     Internal stability prunes the subset lattice: any pair connected by an
     improving path rules out every superset containing both.
     """
-    from itertools import combinations
-    from math import comb
-
     uni = _universe(problem, universe, cap)
     n = len(uni)
     total = sum(comb(n, r) for r in range(1, max_size + 1))
