@@ -327,6 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "depth_cap", None) is not None and args.horizon is None:
+        parser.error("--depth-cap needs --horizon")
     try:
         return args.fn(args)
     except CapacityError as exc:

@@ -873,10 +873,13 @@ def check_stable_set(
 
     Under a horizon, a verdict a cut-off search cannot settle is
     `inconclusive` unless an internal violation, a found path, exists.
+    A depth cap bounds the horizon search only, so it needs a horizon.
     """
     cand = sort_matchings(set(candidate))
     if not cand:
         raise ValueError("candidate set must be nonempty")
+    if horizon == FARSIGHTED and depth_cap is not None:
+        raise ValueError("a depth cap needs a horizon")
     uni = _universe(problem, universe, cap)
     oracle = _oracle(problem, uni)
     idx = [oracle.index[mu] for mu in cand]

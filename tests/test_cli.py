@@ -391,6 +391,7 @@ class TestCommands:
         (["find-singletons", "--horizon", "0"], None),
         (["path", "--target", "ttc", "--from", START, "--check-horizon", "0"], None),
         (["phi", "--from", START, "--horizon", "2", "--depth-cap", "-3"], None),
+        (["phi", "--from", START, "--depth-cap", "0"], None),
         (["find-sets", "--max-size", "0"], None),
         (["check-set", "--set", " ; "], None),
         (["validate-path"], lambda c: {k: v for k, v in c.items() if k != "matchings"}),
@@ -401,7 +402,8 @@ class TestCommands:
         (["validate-path"], lambda c: with_first_coalition(c, {"students": ["a0"]})),
     ], ids=[
         "phi-horizon-0", "check-set-horizon-0", "find-singletons-horizon-0",
-        "path-check-horizon-0", "depth-cap-negative", "max-size-0", "set-without-literal",
+        "path-check-horizon-0", "depth-cap-negative", "depth-cap-without-horizon",
+        "max-size-0", "set-without-literal",
         "certificate-without-matchings", "step-without-coalition", "certificate-list",
         "horizon-not-an-integer", "students-as-a-string", "unknown-coalition-student",
     ])

@@ -500,6 +500,12 @@ class TestStableSets:
         assert not report.external_violations and not report.internal_violations
         assert check_stable_set(p, [ttc], horizon=3, depth_cap=3).verdict == "stable"
 
+    def test_depth_cap_without_horizon_rejected(self, trading_instance, trading_goldens):
+        # full lookahead has no depth to cap; a cap there would be ignored
+        for cap in (0, 1, 12):
+            with pytest.raises(ValueError, match="depth cap"):
+                check_stable_set(trading_instance, [trading_goldens["ttc"]], depth_cap=cap)
+
     def test_horizon_below_one_rejected(self, trading_instance, trading_goldens, trading_universe):
         ttc = trading_goldens["ttc"]
         with pytest.raises(ValueError):
