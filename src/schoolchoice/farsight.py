@@ -67,8 +67,7 @@ school its newcomers overflow gets the search's verdict, on rank bitsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress
-from math import comb
+from itertools import compress
 from operator import ne
 from typing import Iterable, Sequence
 
@@ -236,8 +235,8 @@ def _admits(problem: Problem, s: str, a: Matching, moves: dict) -> bool:
     held, quota, prio = a._assign.count(c), problem._quota_vec[c], problem._prio_rank[c]
     if held + len(joiners) <= quota:
         return True
-    joined = sum(1 << prio[i] for i in joiners)
-    return _school_verdict(quota, held, joined, sum(1 << prio[i] for i in leavers)) != BLOCKED
+    joined, left = (sum(1 << prio[i] for i in xs) for xs in (joiners, leavers))
+    return _school_verdict(quota, held, joined, left) != BLOCKED
 
 
 def school_move_admissible(problem: Problem, s: str, a: Matching, b: Matching) -> bool:
@@ -946,6 +945,9 @@ def find_stable_sets(
     Internal stability prunes the subset lattice: any pair connected by an
     improving path rules out every superset containing both.
     """
+    from itertools import combinations
+    from math import comb
+
     uni = _universe(problem, universe, cap)
     n = len(uni)
     total = sum(comb(n, r) for r in range(1, max_size + 1))
