@@ -38,7 +38,6 @@ from .farsight import (
     StableSetReport,
     can_enforce,
     check_stable_set,
-    find_enforcing_coalition,
     find_singleton_stable_sets,
     find_stable_sets,
     phi,

@@ -12,8 +12,8 @@ Two layers live here and they are deliberately not identical:
   assignment does not change; they are harmless as long as they satisfy the
   improvement condition.
 
-* The *search* (`find_enforcing_coalition`, `phi`, `phi_horizon`,
-  `reachability_matrix`) decides whether an improving path exists.  The
+* The *search* (`phi`, `phi_horizon`, `reachability_matrix` and the
+  stable-set checks) decides whether an improving path exists.  The
   search builds coalitions out of the agents actually touched by a move:
   students joining a school, students giving up a seat without being
   replaced, and the gaining schools.  Schools never destroy matches on
@@ -52,12 +52,14 @@ its path: a node's extensions are its successors off the path under the
 mask of the move whose window closes, an endpoint is certified by the AND
 of the masks whose windows are still open, and the children at the depth
 cap are certified together by one AND with the node's `direct` set (its
-moves that hold under their own target).  A horizon stable-set check stops
-each run from outside the candidate set at its first certified candidate.
-No search calls `edge` per pair.  Everything is plain Python; no numpy.
+moves that hold under their own target, built for that node on first use).
+A horizon stable-set check stops each run from outside the candidate set
+at its first certified candidate.  No search calls `edge` per pair.
+Everything is plain Python; no numpy.
 
 Consecutive searches on one (problem, universe) share one oracle and its memos,
-kept alive (|U|²-bit `direct` masks too) until a search elsewhere replaces it.
+kept alive (the `direct` rows built so far too, at most |U|² bits in all)
+until a search elsewhere replaces it.  Memos are stored only once complete.
 
 The checkers work on assignment vectors too, with no per-school roster scan:
 one diff of a move's two vectors gives each touched school its joiners and
@@ -345,7 +347,7 @@ class _EdgeOracle:
         self._into = [[None] * len(codes) for codes in self.codes]  # `groups` memos
         self._out = [[None] * len(codes) for codes in self.codes]
         self._succ: dict = {}
-        self._direct: list[int] | None = None
+        self._direct: dict = {}
 
     def verdict(self, s: int, before: int, after: int) -> int:
         """`_school_verdict` of school s between two roster ids."""
@@ -377,14 +379,10 @@ class _EdgeOracle:
         Built per reverse search and not kept.
         """
         anchored = [[col[i] >> t & 1 for col in self.anchor] for i in self.students]
-        return (anchored, *self._gains(t))
-
-    def _gains(self, t: int) -> tuple[list[int], list[int]]:
-        """The weak and strict source masks of `student_masks`."""
         ref = self.vecs[t]
         weak = [self.all & ~row[d] for row, d in zip(self.above, ref)]
         strict = [self.all & ~row[d] for row, d in zip(self.atleast, ref)]
-        return weak, strict
+        return anchored, weak, strict
 
     def edge(self, xa: int, xb: int):
         """The coalition that moves xa -> xb, or None: the structural screen.
@@ -481,24 +479,26 @@ class _EdgeOracle:
         return got
 
     def direct(self, x: int) -> int:
-        """The matchings y for which x -> y holds with lookahead y itself.
-
-        Built for every x at once, on first use, by transposing each y's
-        predecessor set under lookahead y, where every claim is anchored
-        (y seats each joiner where she joins).
+        """The matchings y for which x -> y holds with lookahead y itself:
+        the diagonal of `looks`, built forward for one x on first use and
+        memoised.  y seats each joiner where she joins, so every claim is
+        anchored and only her rank of y against her seat in x counts.
         """
-        if self._direct is None:
-            rows = [0] * len(self.vecs)
-            anchored = [[True] * self.m] * len(self.students)
-            for y in range(len(self.vecs)):
-                bit = 1 << y
-                sources = self.predecessors(y, (anchored, *self._gains(y)), self.all)
-                while sources:
-                    low = sources & -sources
-                    rows[low.bit_length() - 1] |= bit
-                    sources ^= low
-            self._direct = rows
-        return self._direct[x]
+        got = self._direct.get(x)
+        if got is None:
+            got, strict = self.succ_mask(x), 0
+            m, rx, out = self.m, self.rid[x], self._out  # filled by `succ_mask`
+            for seats, above, atleast, c in zip(self.seat, self.above, self.atleast, self.vecs[x]):
+                joins = ~seats[c] & ~seats[m]  # joiners weakly improve
+                got &= ~joins | atleast[c]
+                strict |= joins & above[c]
+                if c != m:  # unreplaced leavers strictly improve
+                    gone = out[c][rx[c]][UNREPLACED] & ~seats[c]
+                    got &= ~gone | above[c]
+                    strict |= gone
+            got &= strict
+            self._direct[x] = got
+        return got
 
     def sources_reaching(self, target_idx: int) -> int:
         """The bitset of universe indices from which the target is reachable."""
@@ -517,30 +517,6 @@ class _EdgeOracle:
             reached |= nxt
             frontier = nxt
         return reached
-
-
-def find_enforcing_coalition(
-    problem: Problem, a: Matching, b: Matching, ref: Matching
-) -> Coalition | None:
-    """A coalition of moving agents willing to enforce b over a, given ref.
-
-    Returns None when no admissible move exists.  Every joiner must weakly
-    prefer ref to her current seat and her new school must be anchored in
-    ref (she holds a seat there in ref, or outranks someone who does);
-    every unreplaced leaver must strictly prefer ref to the seat she gives
-    up; some moving student must strictly prefer ref; and every
-    over-capacity gain must replace each departing student with a
-    higher-priority newcomer.
-    """
-    oracle = _EdgeOracle(problem, (a, b, ref))
-    found = oracle.edge(0, 1)
-    if found is None or not oracle.looks(0, 1) >> 2 & 1:
-        return None
-    students, schools = found
-    return Coalition(
-        students={problem.students[i] for i in students},
-        schools={problem.schools[s] for s in schools},
-    )
 
 
 # --------------------------------------------------------------------------
@@ -634,6 +610,16 @@ def _universe(problem: Problem, universe, cap) -> list[Matching]:
     return list(universe)
 
 
+def _lookahead(horizon) -> int | None:
+    """The moves a horizon looks ahead: None for FARSIGHTED, else an int k >= 1.
+    Anything else, a float or a bool included, is a ValueError."""
+    if horizon == FARSIGHTED:
+        return None
+    if type(horizon) is not int or horizon < 1:  # type, not isinstance: a bool is no horizon
+        raise ValueError(f"horizon must be {FARSIGHTED!r} or an integer >= 1, not {horizon!r}")
+    return horizon
+
+
 def _oracle(problem: Problem, uni: Sequence[Matching]) -> _EdgeOracle:
     """The oracle for (problem, uni), shared by consecutive searches through
     `_slot`: keyed by problem identity (`Matching` equality ignores it) and
@@ -713,6 +699,8 @@ def phi_horizon(
     The result is flagged partial when the depth cap or the node budget cut
     any branch.
     """
+    if _lookahead(k) is None:
+        raise ValueError("phi_horizon needs an integer horizon; phi is full lookahead")
     uni = _universe(problem, universe, cap)
     oracle = _oracle(problem, uni)
     if mu not in oracle.index:
@@ -745,8 +733,6 @@ def _phi_horizon(
     goal bitset the search stops at its first certified goal matching, and
     its result then only says that a goal was reached.
     """
-    if k < 1:
-        raise ValueError("horizon must be >= 1")
     if depth_cap is None:
         depth_cap = min(len(oracle.vecs), DEFAULT_DEPTH_CAP)
     succ, direct, looks, everything = oracle.succ_mask, oracle.direct, oracle.looks, oracle.all
@@ -825,8 +811,6 @@ def _horizon_runs(
     multi-matching candidate set stay exhaustive; a lone candidate's own
     run is never read, so it is skipped and left empty.
     """
-    if k < 1:
-        raise ValueError("horizon must be >= 1")
     goal = sum(1 << x for x in cand)
     runs = []
     for x in range(len(oracle.vecs)):
@@ -877,12 +861,13 @@ def check_stable_set(
     cand = sort_matchings(set(candidate))
     if not cand:
         raise ValueError("candidate set must be nonempty")
-    if horizon == FARSIGHTED and depth_cap is not None:
+    k = _lookahead(horizon)
+    if k is None and depth_cap is not None:
         raise ValueError("a depth cap needs a horizon")
     uni = _universe(problem, universe, cap)
     oracle = _oracle(problem, uni)
     idx = [oracle.index[mu] for mu in cand]
-    if horizon == FARSIGHTED:
+    if k is None:
         reach_to = [oracle.sources_reaching(t) for t in idx]
         internal = [
             (a, b) for a in idx for j, b in enumerate(idx) if a != b and reach_to[j] >> a & 1
@@ -893,7 +878,7 @@ def check_stable_set(
         external = _members(oracle.all & ~covered)
         unknown = False
     else:
-        runs = _horizon_runs(oracle, int(horizon), depth_cap, idx)
+        runs = _horizon_runs(oracle, k, depth_cap, idx)
         internal, external, unknown = _horizon_check(runs, idx)
     return StableSetReport(
         candidate=cand,
@@ -917,15 +902,16 @@ def find_singleton_stable_sets(
     cap: int = DEFAULT_SEARCH_CAP,
 ) -> list[Matching]:
     """All matchings mu with {mu} a (horizon-k) farsighted stable set."""
+    k = _lookahead(horizon)
     uni = _universe(problem, universe, cap)
     oracle = _oracle(problem, uni)
-    if horizon == FARSIGHTED:
+    if k is None:
         out = [
             mu for t, mu in enumerate(uni)
             if oracle.sources_reaching(t).bit_count() == len(uni) - 1
         ]
     else:
-        runs = _horizon_runs(oracle, int(horizon), None)
+        runs = _horizon_runs(oracle, k, None)
         out = [
             mu for t, mu in enumerate(uni)
             if _verdict(*_horizon_check(runs, [t])) == "stable"

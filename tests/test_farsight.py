@@ -17,7 +17,6 @@ from schoolchoice import (
     can_enforce,
     check_stable_set,
     enumerate_matchings,
-    find_enforcing_coalition,
     find_singleton_stable_sets,
     find_stable_sets,
     is_individually_rational,
@@ -36,6 +35,21 @@ from schoolchoice import farsight
 from schoolchoice.farsight import MoveStep, _EdgeOracle
 
 from conftest import matching_of, random_problem
+
+
+def find_enforcing_coalition(problem, a, b, ref):
+    """The coalition the search forms for the move a -> b under lookahead
+    ref, or None when it makes no such move: `_EdgeOracle.edge` and `looks`
+    on an oracle of its own over (a, b, ref)."""
+    oracle = _EdgeOracle(problem, (a, b, ref))
+    found = oracle.edge(0, 1)
+    if found is None or not oracle.looks(0, 1) >> 2 & 1:
+        return None
+    students, schools = found
+    return Coalition(
+        students={problem.students[i] for i in students},
+        schools={problem.schools[s] for s in schools},
+    )
 
 
 @pytest.fixture(scope="module")
@@ -513,6 +527,25 @@ class TestStableSets:
         with pytest.raises(ValueError):
             find_singleton_stable_sets(trading_instance, 0, universe=trading_universe)
 
+    @pytest.mark.parametrize("horizon", [0, 1.9, 0.5, True])
+    def test_horizon_must_be_a_positive_integer(
+        self, trading_instance, trading_goldens, trading_universe, horizon
+    ):
+        # neither truncated (1.9 is not 1) nor read as a number (True is not 1)
+        p, ttc = trading_instance, trading_goldens["ttc"]
+        searches = [
+            lambda: check_stable_set(p, [ttc], horizon=horizon, universe=trading_universe),
+            lambda: find_singleton_stable_sets(p, horizon, universe=trading_universe),
+            lambda: phi_horizon(p, ttc, horizon, universe=trading_universe),
+        ]
+        for search in searches:
+            with pytest.raises(ValueError, match="horizon must be"):
+                search()
+
+    def test_phi_horizon_needs_an_integer_horizon(self, trading_instance, trading_goldens):
+        with pytest.raises(ValueError, match="integer horizon"):
+            phi_horizon(trading_instance, trading_goldens["ttc"], FARSIGHTED)
+
     def test_find_sets_up_to_three(
         self, trading_instance, trading_goldens, trading_universe
     ):
@@ -771,6 +804,21 @@ class TestEdgeKernel:
                                     p, a, b, universe[t], **{rule: False}
                                 )
         assert removed["replacement"] and removed["departure"]
+
+    def test_direct_is_the_looks_diagonal(self):
+        # direct(x): the moves x -> y that hold under their own target y,
+        # on each universe as enumerated and shuffled
+        rng = random.Random(406)
+        rows = 0
+        for p, universe, _ in kernel_instances():
+            for uni in (universe, rng.sample(universe, len(universe))):
+                oracle = _EdgeOracle(p, uni)
+                n = len(uni)
+                for x in range(n):
+                    want = sum(1 << y for y in range(n) if oracle.looks(x, y) >> y & 1)
+                    assert oracle.direct(x) == want, x
+                    rows += want != 0
+        assert rows
 
     def test_reverse_search_makes_no_edge_call(
         self, trading_instance, trading_goldens, trading_universe, monkeypatch
