@@ -557,6 +557,47 @@ class TestStableSets:
             for group in found
         )
 
+    def test_search_matches_the_subset_lattice(self):
+        # every size up to three on instances of at most 40 matchings, and
+        # every size at all on instances of at most 12
+        rng = random.Random(1801)
+        cases = several = 0
+        while cases < 300:
+            p = random_problem(rng, 5, 3)
+            uni = enumerate_matchings(p)
+            if len(uni) > 40:
+                continue
+            cases += 1
+            sizes = (1, 2, 3, len(uni)) if len(uni) <= 12 else (1, 2, 3)
+            for size in sizes:
+                want = lattice_stable_sets(p, uni, size)
+                assert find_stable_sets(p, max_size=size, universe=uni) == want, size
+                several += len(want) > 1
+        assert several  # the order among several sets is checked too
+
+
+def lattice_stable_sets(problem, uni, max_size):
+    """Every stable set of at most max_size matchings, by walking the subset
+    lattice in literal order: a reference for the search."""
+    cols = farsight._columns(problem, uni)
+    n = len(uni)
+    everyone = (1 << n) - 1
+    order = sorted(range(n), key=lambda x: uni[x].literal())
+    results = []
+    for size in range(1, max_size + 1):
+        for combo in itertools.combinations(order, size):
+            if any(
+                cols[b] >> a & 1 or cols[a] >> b & 1
+                for a, b in itertools.combinations(combo, 2)
+            ):
+                continue
+            covered = 0
+            for c in combo:
+                covered |= cols[c] | 1 << c
+            if covered == everyone:
+                results.append([uni[x] for x in combo])
+    return results
+
 
 # ---------------------------------------------------------------------------
 # Independent reachability oracle: depth-first enumeration of simple paths,
