@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=_int_at_least(1), default=None)
     p.set_defaults(fn=cmd_find_singletons)
 
-    p = sub.add_parser("find-sets", help="all farsighted stable sets up to a size")
+    p = sub.add_parser("find-sets", help="all farsighted stable sets of at most --max-size")
     common(p)
     p.add_argument("--max-size", type=_int_at_least(1), default=3)
     p.set_defaults(fn=cmd_find_sets)

@@ -41,8 +41,9 @@ leavers replaced, or leavers unreplaced) depends only on its roster before
 and after, read as bitsets over its priority ranks, and is memoised per
 roster in per-school lists.
 
-`_EdgeOracle.edge` is the structural screen of one pair: someone moves and
-no school blocks.  What a move owes the lookahead is read from the
+The structural screen of a move is that someone moves and no school blocks;
+`succ_mask` screens every target of one source at once, and no search
+screens a pair alone.  What a move owes the lookahead is read from the
 lookahead tables along either axis.  `looks(a, b)` is the bitset of
 lookaheads under which a -> b holds; `predecessors` is, for one lookahead,
 the bitset of sources with a move into a matching.  The reverse search
@@ -54,8 +55,10 @@ of the masks whose windows are still open, and the children at the depth
 cap are certified together by one AND with the node's `direct` set (its
 moves that hold under their own target, built for that node on first use).
 A horizon stable-set check stops each run from outside the candidate set
-at its first certified candidate.  No search calls `edge` per pair.
-Everything is plain Python; no numpy.
+at its first certified candidate.  The stable sets are the kernels of the
+digraph x -> y iff y is in phi(x), which `find_stable_sets` finds by a
+backtracking search over its rows and columns.  Everything is plain
+Python; no numpy.
 
 Consecutive searches on one (problem, universe) share one oracle and its memos,
 kept alive (the `direct` rows built so far too, at most |U|² bits in all)
@@ -90,8 +93,9 @@ DEFAULT_DEPTH_CAP = 12
 #: allows `model.DEFAULT_ENUMERATION_CAP` (10**7).
 DEFAULT_SEARCH_CAP = 10**5
 
-#: Expansion budget for the horizon-k depth-first search; when exhausted the
-#: result is flagged partial rather than wrong.
+#: Node budget of the horizon-k depth-first search and of the stable-set
+#: search: a cut horizon search is flagged partial rather than wrong, and a
+#: cut stable-set search raises CapacityError rather than list some sets.
 DEFAULT_NODE_BUDGET = 2_000_000
 
 #: The last search's (problem, universe, oracle); see `_oracle`.
@@ -349,11 +353,6 @@ class _EdgeOracle:
         self._succ: dict = {}
         self._direct: dict = {}
 
-    def verdict(self, s: int, before: int, after: int) -> int:
-        """`_school_verdict` of school s between two roster ids."""
-        held, ends = self.codes[s][before], self.codes[s][after]
-        return _school_verdict(self.quota[s], held.bit_count(), ends & ~held, held & ~ends)
-
     def groups(self, s: int, r: int, into: bool) -> list[int]:
         """Per verdict, the matchings x whose move at school s gets it.
 
@@ -384,33 +383,6 @@ class _EdgeOracle:
         strict = [self.all & ~row[d] for row, d in zip(self.atleast, ref)]
         return anchored, weak, strict
 
-    def edge(self, xa: int, xb: int):
-        """The coalition that moves xa -> xb, or None: the structural screen.
-
-        Someone must move and no school may block the move (see
-        `_school_verdict`); `looks` says under which lookaheads it holds.
-        The coalition is a list of student indices (joiners, then leavers
-        whose school does not replace them) and a set of school indices.
-        """
-        m = self.m
-        joined = []  # (school, student)
-        left = []
-        for i, ca, cb in zip(self.students, self.vecs[xa], self.vecs[xb]):
-            if ca != cb:
-                if cb != m:
-                    joined.append((cb, i))
-                if ca != m:
-                    left.append((ca, i))
-        if not joined and not left:
-            return None
-        ra, rb = self.rid[xa], self.rid[xb]
-        gaining = {s for s, _ in joined}
-        for s in gaining:
-            if self.verdict(s, ra[s], rb[s]) == BLOCKED:
-                return None
-        unreplaced = [i for c, i in left if self.verdict(c, ra[c], rb[c]) == UNREPLACED]
-        return [i for _, i in joined] + unreplaced, gaining
-
     def looks(self, a: int, b: int) -> int:
         """The lookahead matchings under which the move a -> b holds, as one
         bitset.
@@ -419,7 +391,7 @@ class _EdgeOracle:
         and claim an anchored seat; every leaver her school does not replace
         must strictly prefer it; and someone must strictly prefer it.  The
         same rule as `predecessors`, read along the lookahead axis; 0 when
-        the move fails the structural screen.
+        the move fails the structural screen of `succ_mask`.
         """
         if not self.succ_mask(a) >> b & 1:
             return 0
@@ -592,11 +564,10 @@ def validate_path(problem: Problem, cert: PathCertificate) -> PathViolation | No
 
 def validate_path_horizon(problem: Problem, cert: PathCertificate) -> PathViolation | None:
     """Check a horizon-k certificate (students compare k steps ahead)."""
-    k = cert.horizon
-    if k == FARSIGHTED:
-        return _validate(problem, cert, None)
-    if not isinstance(k, int) or k < 1:
-        return PathViolation(-1, f"invalid horizon {k!r}")
+    try:
+        k = _lookahead(cert.horizon)
+    except ValueError:
+        return PathViolation(-1, f"invalid horizon {cert.horizon!r}")
     return _validate(problem, cert, k)
 
 
@@ -618,6 +589,13 @@ def _lookahead(horizon) -> int | None:
     if type(horizon) is not int or horizon < 1:  # type, not isinstance: a bool is no horizon
         raise ValueError(f"horizon must be {FARSIGHTED!r} or an integer >= 1, not {horizon!r}")
     return horizon
+
+
+def _index(oracle: _EdgeOracle, mu: Matching) -> int:
+    """mu's index in the oracle's universe; a ValueError when it has none."""
+    if mu not in oracle.index:
+        raise ValueError("matching not in the enumerated universe")
+    return oracle.index[mu]
 
 
 def _oracle(problem: Problem, uni: Sequence[Matching]) -> _EdgeOracle:
@@ -643,9 +621,7 @@ def phi(
     """All matchings reachable from mu by a farsighted improving path."""
     uni = _universe(problem, universe, cap)
     oracle = _oracle(problem, uni)
-    if mu not in oracle.index:
-        raise ValueError("matching not in the enumerated universe")
-    src = oracle.index[mu]
+    src = _index(oracle, mu)
     return {
         target for t, target in enumerate(uni)
         if t != src and oracle.sources_reaching(t) >> src & 1
@@ -665,11 +641,16 @@ def reachability_matrix(
 ) -> tuple[list[int], list[Matching]]:
     """Rows R as int bitsets, R[x] >> t & 1 iff target t is in phi(x); and U."""
     uni = _universe(problem, universe, cap)
-    rows: list[list[int]] = [[] for _ in uni]
-    for t, col in enumerate(_columns(problem, uni)):
+    return _transpose(_columns(problem, uni)), uni
+
+
+def _transpose(cols: list[int]) -> list[int]:
+    """The rows of the bitset matrix whose columns are cols."""
+    rows: list[list[int]] = [[] for _ in cols]
+    for t, col in enumerate(cols):
         for x in _members(col):
             rows[x].append(t)
-    return [_bitset(row) for row in rows], uni
+    return [_bitset(row) for row in rows]
 
 
 # --------------------------------------------------------------------------
@@ -703,9 +684,7 @@ def phi_horizon(
         raise ValueError("phi_horizon needs an integer horizon; phi is full lookahead")
     uni = _universe(problem, universe, cap)
     oracle = _oracle(problem, uni)
-    if mu not in oracle.index:
-        raise ValueError("matching not in the enumerated universe")
-    reachable, partial = _phi_horizon(oracle, oracle.index[mu], k, depth_cap, node_budget)
+    reachable, partial = _phi_horizon(oracle, _index(oracle, mu), k, depth_cap, node_budget)
     return HorizonResult(reachable={uni[t] for t in _members(reachable)}, partial=partial)
 
 
@@ -866,7 +845,7 @@ def check_stable_set(
         raise ValueError("a depth cap needs a horizon")
     uni = _universe(problem, universe, cap)
     oracle = _oracle(problem, uni)
-    idx = [oracle.index[mu] for mu in cand]
+    idx = [_index(oracle, mu) for mu in cand]
     if k is None:
         reach_to = [oracle.sources_reaching(t) for t in idx]
         internal = [
@@ -924,37 +903,53 @@ def find_stable_sets(
     max_size: int = 3,
     universe: Sequence[Matching] | None = None,
     cap: int = DEFAULT_SEARCH_CAP,
-    subset_cap: int = 10**7,
 ) -> list[list[Matching]]:
-    """All farsighted stable sets of size <= max_size (exhaustive search).
+    """All farsighted stable sets of at most max_size matchings.
 
-    Internal stability prunes the subset lattice: any pair connected by an
-    improving path rules out every superset containing both.
+    A stable set is a kernel of the digraph x -> y iff y is in phi(x): no
+    member reaches another, and every other matching reaches a member.  A
+    backtracking search decides each matching in or out by three rules:
+    a member puts out every matching it reaches and every one that reaches
+    it; an outsider with one possible target left forces that target in;
+    an undecided matching whose targets are all out must be in.  Only when
+    none applies does it branch, on the first undecided matching.  A branch
+    with more than max_size members is pruned.  Sets list their members in
+    literal order, and come by size, then by those positions.  A search
+    that needs more than `DEFAULT_NODE_BUDGET` nodes raises CapacityError.
     """
-    from itertools import combinations
-    from math import comb
-
     uni = _universe(problem, universe, cap)
-    n = len(uni)
-    total = sum(comb(n, r) for r in range(1, max_size + 1))
-    if total > subset_cap:
-        raise CapacityError(
-            f"{total} candidate subsets exceed the cap of {subset_cap}"
-        )
     cols = _columns(problem, uni)
-    everyone = (1 << n) - 1
-    order = sorted(range(n), key=lambda x: uni[x].literal())
-    results = []
-    for size in range(1, max_size + 1):
-        for combo in combinations(order, size):
-            if any(
-                cols[b] >> a & 1 or cols[a] >> b & 1
-                for a, b in combinations(combo, 2)
-            ):
-                continue
-            covered = 0
-            for c in combo:
-                covered |= cols[c] | 1 << c
-            if covered == everyone:
-                results.append([uni[x] for x in combo])
-    return results
+    rows = _transpose(cols)
+    everyone = (1 << len(uni)) - 1
+
+    def join(inset: int, out: int, covered: int, x: int) -> tuple[int, int, int]:
+        return inset | 1 << x, out | rows[x] | cols[x], covered | cols[x]
+
+    budget = DEFAULT_NODE_BUDGET
+    found = []
+    stack = [(0, 0, 0)]  # members, outsiders, outsiders that reach a member
+    while stack:
+        budget -= 1
+        if budget < 0:
+            raise CapacityError(f"the stable-set search needs over {DEFAULT_NODE_BUDGET} nodes")
+        state = stack.pop()
+        while state[0].bit_count() <= max_size:
+            inset, out, covered = state
+            free = everyone & ~inset & ~out
+            left = [rows[x] & free for x in _members(out & ~covered)]  # possible targets
+            if 0 in left:
+                break  # an outsider that no member can reach any more
+            forced = [t for t in left if not t & t - 1]  # one target left
+            forced += [1 << x for x in _members(free) if not rows[x] & free]  # all out
+            if not forced:
+                if free:
+                    x = (free & -free).bit_length() - 1
+                    stack += [(inset, out | 1 << x, covered), join(*state, x)]
+                elif inset:  # the empty universe's empty kernel is no stable set
+                    found.append(_members(inset))
+                break
+            state = join(*state, forced[0].bit_length() - 1)
+    order = sorted(range(len(uni)), key=lambda x: uni[x].literal())
+    pos = {x: k for k, x in enumerate(order)}
+    sets = sorted((sorted(map(pos.get, xs)) for xs in found), key=lambda ps: (len(ps), ps))
+    return [[uni[order[k]] for k in ps] for ps in sets]

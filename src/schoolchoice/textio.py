@@ -32,6 +32,7 @@ from .farsight import (
     MoveStep,
     PathCertificate,
     StableSetReport,
+    _lookahead,
 )
 from .mechanisms import MechanismTrace
 
@@ -231,11 +232,10 @@ def certificate_from_dict(problem: Problem, data) -> PathCertificate:
     if not isinstance(data, dict):
         raise InstanceParseError(["a certificate must be a JSON object"])
     horizon = data.get("horizon", FARSIGHTED)
-    # type, not isinstance: JSON true is a bool, which is no horizon
-    if horizon != FARSIGHTED and (type(horizon) is not int or horizon < 1):
-        raise InstanceParseError(
-            [f"horizon must be {FARSIGHTED!r} or an integer >= 1, got {horizon!r}"]
-        )
+    try:
+        _lookahead(horizon)  # JSON true is a bool, which is no horizon
+    except ValueError as exc:
+        raise InstanceParseError([str(exc)]) from None
     if not _is_names(data.get("matchings")):
         raise InstanceParseError(["'matchings' must be a list of matching literals"])
     matchings = [parse_matching(problem, lit) for lit in data["matchings"]]

@@ -127,8 +127,11 @@ def test_criterion_3_stable_set_verdicts(
     assert repD.verdict == "unstable" and repD.external_violations
     repB = check_stable_set(trading_instance, [muB], universe=trading_universe)
     assert repB.verdict == "unstable" and repB.external_violations
-    sets3 = find_stable_sets(trading_instance, max_size=3, universe=trading_universe)
-    assert all(muD not in group for group in sets3)
+    # {TTC} is the only stable set of any size
+    every = find_stable_sets(
+        trading_instance, max_size=len(trading_universe), universe=trading_universe
+    )
+    assert every == [[muT]]
     singles = find_singleton_stable_sets(trading_instance, universe=trading_universe)
     assert singles == [muT]
     ok("3 (stable set verdicts)")
@@ -229,13 +232,16 @@ def test_criterion_8_negative_results_reproduced(
     trading_instance, trading_goldens, trading_universe
 ):
     muD, muB = trading_goldens["da"], trading_goldens["ia"]
-    # the stable deferred-acceptance outcome belongs to no stable set found
+    # the stable deferred-acceptance outcome belongs to no farsighted stable
+    # set of any size
     assert is_stable(trading_instance, muD)
-    sets3 = find_stable_sets(trading_instance, max_size=3, universe=trading_universe)
-    assert all(muD not in group for group in sets3)
+    every = find_stable_sets(
+        trading_instance, max_size=len(trading_universe), universe=trading_universe
+    )
+    assert every and all(muD not in group for group in every)
     # the immediate-acceptance outcome is efficient yet equally excluded
     assert is_pareto_efficient(trading_instance, muB, universe=trading_universe)
-    assert all(muB not in group for group in sets3)
+    assert all(muB not in group for group in every)
     ok("8 (negative results reproduced computationally)")
 
 

@@ -14,7 +14,7 @@ from schoolchoice.textio import (
     parse_matching,
     serialize_instance,
 )
-from schoolchoice import SELF, Matching, ValidationError, build_path_to_ttc
+from schoolchoice import SELF, Matching, ValidationError, build_path_to_ttc, farsight
 
 from conftest import random_problem
 
@@ -384,6 +384,14 @@ class TestCommands:
         err = capsys.readouterr().err
         assert code == 3
         assert "error" in err
+
+    def test_cut_stable_set_search_exits_3(self, instance_file, capsys, monkeypatch):
+        # a cut search prints no list, not even a partial one
+        monkeypatch.setattr(farsight, "DEFAULT_NODE_BUDGET", 1)
+        code = main(["find-sets", instance_file, "--max-size", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == "" and "stable-set search" in captured.err
 
     @pytest.mark.parametrize("argv, edit", [
         (["phi", "--from", START, "--horizon", "0"], None),

@@ -32,17 +32,44 @@ from schoolchoice import (
     validate_path_horizon,
 )
 from schoolchoice import farsight
-from schoolchoice.farsight import MoveStep, _EdgeOracle
+from schoolchoice.farsight import (
+    BLOCKED, UNREPLACED, MoveStep, PathViolation, _EdgeOracle, _school_verdict,
+)
+from schoolchoice.model import CapacityError
+from schoolchoice.textio import InstanceParseError, certificate_from_dict, certificate_to_dict
 
 from conftest import matching_of, random_problem
 
 
+def edge(oracle, xa, xb):
+    """The coalition the search forms for the move xa -> xb, or None: the
+    structural screen of one pair, read from the oracle's tables.
+
+    Someone must move and no school may block the move (see
+    `_school_verdict`); `looks` says under which lookaheads it holds.  The
+    coalition is a list of student indices (joiners, then leavers whose
+    school does not replace them) and a set of school indices.
+    """
+    def verdict(s):
+        held, ends = (oracle.codes[s][oracle.rid[x][s]] for x in (xa, xb))
+        return _school_verdict(oracle.quota[s], held.bit_count(), ends & ~held, held & ~ends)
+
+    m, va, vb = oracle.m, oracle.vecs[xa], oracle.vecs[xb]
+    moved = [i for i in oracle.students if va[i] != vb[i]]
+    joiners = [i for i in moved if vb[i] != m]
+    gaining = {vb[i] for i in joiners}
+    if not moved or any(verdict(s) == BLOCKED for s in gaining):
+        return None
+    unreplaced = [i for i in moved if va[i] != m and verdict(va[i]) == UNREPLACED]
+    return joiners + unreplaced, gaining
+
+
 def find_enforcing_coalition(problem, a, b, ref):
     """The coalition the search forms for the move a -> b under lookahead
-    ref, or None when it makes no such move: `_EdgeOracle.edge` and `looks`
-    on an oracle of its own over (a, b, ref)."""
+    ref, or None when it makes no such move: `edge` and `looks` on an
+    oracle of its own over (a, b, ref)."""
     oracle = _EdgeOracle(problem, (a, b, ref))
-    found = oracle.edge(0, 1)
+    found = edge(oracle, 0, 1)
     if found is None or not oracle.looks(0, 1) >> 2 & 1:
         return None
     students, schools = found
@@ -419,6 +446,17 @@ class TestValidatePathHorizon:
         cert = PathCertificate(walkthrough.matchings, walkthrough.steps, 99)
         assert validate_path_horizon(trading_instance, cert) is None
 
+    @pytest.mark.parametrize("horizon", [True, 0, 1.5])
+    def test_horizon_must_be_a_positive_integer(self, trading_instance, walkthrough, horizon):
+        # the searches' rule: True is no k = 1, and 1.5 is not truncated
+        cert = PathCertificate(walkthrough.matchings, walkthrough.steps, horizon)
+        assert validate_path_horizon(trading_instance, cert) == PathViolation(
+            -1, f"invalid horizon {horizon!r}"
+        )
+        data = {**certificate_to_dict(walkthrough), "horizon": horizon}
+        with pytest.raises(InstanceParseError, match="horizon must be"):
+            certificate_from_dict(trading_instance, data)
+
 
 class TestPhiHorizon:
     def test_three_ahead_reaches_trading_outcome(
@@ -429,6 +467,16 @@ class TestPhiHorizon:
             depth_cap=12, universe=trading_universe, node_budget=200_000,
         )
         assert trading_goldens["ttc"] in result.reachable
+        # three moves suffice, and {TTC} is stable at that depth cap too
+        ttc = trading_goldens["ttc"]
+        res = phi_horizon(
+            trading_instance, trading_goldens["da"], 3, depth_cap=3, universe=trading_universe
+        )
+        assert ttc in res.reachable
+        report = check_stable_set(
+            trading_instance, [ttc], horizon=3, universe=trading_universe, depth_cap=3
+        )
+        assert report.verdict == "stable"
 
     def test_huge_horizon_equals_full_lookahead(self):
         p = Problem(
@@ -549,13 +597,28 @@ class TestStableSets:
     def test_find_sets_up_to_three(
         self, trading_instance, trading_goldens, trading_universe
     ):
-        found = find_stable_sets(trading_instance, max_size=3, universe=trading_universe)
-        assert [trading_goldens["ttc"]] in found
-        assert all(trading_goldens["da"] not in group for group in found)
-        assert all(
-            not {trading_goldens["da"], trading_goldens["ia"]} <= set(group)
-            for group in found
-        )
+        # {TTC} is the only stable set of any size, so the DA and IA
+        # outcomes are in none
+        for size in (1, 2, 3, len(trading_universe)):
+            found = find_stable_sets(trading_instance, max_size=size, universe=trading_universe)
+            assert found == [[trading_goldens["ttc"]]], size
+
+    def test_cut_search_raises_rather_than_lists(
+        self, trading_instance, trading_universe, monkeypatch
+    ):
+        # the search needs more than one node here
+        monkeypatch.setattr(farsight, "DEFAULT_NODE_BUDGET", 1)
+        with pytest.raises(CapacityError, match="stable-set search"):
+            find_stable_sets(trading_instance, max_size=3, universe=trading_universe)
+
+    def test_candidate_outside_the_universe_rejected(
+        self, trading_instance, trading_goldens, trading_universe
+    ):
+        ttc = trading_goldens["ttc"]
+        rest = [mu for mu in trading_universe if mu != ttc]
+        for horizon in (FARSIGHTED, 3):
+            with pytest.raises(ValueError, match="not in the enumerated universe"):
+                check_stable_set(trading_instance, [ttc], horizon=horizon, universe=rest)
 
     def test_search_matches_the_subset_lattice(self):
         # every size up to three on instances of at most 40 matchings, and
@@ -830,7 +893,7 @@ class TestEdgeKernel:
             oracle = _EdgeOracle(p, universe)
             n = len(universe)
             for x in range(n):
-                screened = [y for y in range(n) if oracle.edge(x, y)]
+                screened = [y for y in range(n) if edge(oracle, x, y)]
                 assert oracle.succ_mask(x) == sum(1 << y for y in screened)
             for t in refs:
                 masks = oracle.student_masks(t)
@@ -864,31 +927,16 @@ class TestEdgeKernel:
     def test_reverse_search_makes_no_edge_call(
         self, trading_instance, trading_goldens, trading_universe, monkeypatch
     ):
+        # the reverse search takes whole predecessor sets: no call per pair
         def refuse(*args):
-            raise AssertionError("edge called")
+            raise AssertionError("looks called")
 
-        monkeypatch.setattr(_EdgeOracle, "edge", refuse)
-        da = trading_goldens["da"]
-        assert phi(trading_instance, da, universe=trading_universe) == {trading_goldens["ttc"]}
-        report = check_stable_set(trading_instance, [da], universe=trading_universe)
-        assert report.verdict == "unstable"
-
-    def test_horizon_search_makes_no_edge_call(
-        self, trading_instance, trading_goldens, trading_universe, monkeypatch
-    ):
-        def refuse(*args):
-            raise AssertionError("edge called")
-
-        monkeypatch.setattr(_EdgeOracle, "edge", refuse)
-        ttc = trading_goldens["ttc"]
-        res = phi_horizon(
-            trading_instance, trading_goldens["da"], 3, depth_cap=3, universe=trading_universe
-        )
-        assert ttc in res.reachable
-        report = check_stable_set(
-            trading_instance, [ttc], horizon=3, universe=trading_universe, depth_cap=3
-        )
-        assert report.verdict == "stable"
+        monkeypatch.setattr(_EdgeOracle, "looks", refuse)
+        p, uni = trading_instance, trading_universe
+        da, ttc = trading_goldens["da"], trading_goldens["ttc"]
+        assert phi(p, da, universe=uni) == {ttc}
+        assert check_stable_set(p, [da], universe=uni).verdict == "unstable"
+        assert find_stable_sets(p, max_size=len(uni), universe=uni) == [[ttc]]
 
     def test_search_leaves_numpy_unimported(self):
         script = (
