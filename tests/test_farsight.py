@@ -67,10 +67,12 @@ def edge(oracle, xa, xb):
 def find_enforcing_coalition(problem, a, b, ref):
     """The coalition the search forms for the move a -> b under lookahead
     ref, or None when it makes no such move: `edge` and `looks` on an
-    oracle of its own over (a, b, ref)."""
-    oracle = _EdgeOracle(problem, (a, b, ref))
-    found = edge(oracle, 0, 1)
-    if found is None or not oracle.looks(0, 1) >> 2 & 1:
+    oracle of its own over a, b and ref, each listed once."""
+    universe = list(dict.fromkeys((a, b, ref)))
+    xa, xb, xref = map(universe.index, (a, b, ref))
+    oracle = _EdgeOracle(problem, universe)
+    found = edge(oracle, xa, xb)
+    if found is None or not oracle.looks(xa, xb) >> xref & 1:
         return None
     students, schools = found
     return Coalition(
@@ -959,6 +961,123 @@ class TestEdgeKernel:
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert out.stdout.strip() == "False"
+
+
+def defined_tables(problem, universe):
+    """Every table of the oracle's roster index and lookahead tables,
+    recomputed from its definition one matching at a time."""
+    m, vecs = len(problem.schools), [mu._assign for mu in universe]
+    students, rank, prio = range(len(problem.students)), problem._pref_rank, problem._prio_rank
+
+    def matchings(test):
+        return sum(1 << x for x, vec in enumerate(vecs) if test(vec))
+
+    def anchored(vec, s, i):  # vec seats i at s, or someone at s whom i outranks
+        return vec[i] == s or any(vec[j] == s and prio[s][i] < prio[s][j] for j in students)
+
+    seats = range(m + 1)
+    tables = {
+        "seat": [[matchings(lambda v: v[i] == c) for c in seats] for i in students],
+        "above": [[matchings(lambda v: rank[i][v[i]] < rank[i][c]) for c in seats]
+                  for i in students],
+        "atleast": [[matchings(lambda v: rank[i][v[i]] <= rank[i][c]) for c in seats]
+                    for i in students],
+        "anchor": [[matchings(lambda v: anchored(v, s, i)) for i in students] for s in range(m)],
+        "codes": [], "roster_masks": [],
+    }
+    ids = []  # per school, roster -> id, in order of first appearance
+    for s in range(m):
+        found = {}
+        for vec in vecs:
+            found.setdefault(frozenset(i for i in students if vec[i] == s), len(found))
+        ids.append(found)
+        tables["codes"].append([sum(1 << prio[s][i] for i in roster) for roster in found])
+        tables["roster_masks"].append([
+            matchings(lambda v: frozenset(i for i in students if v[i] == s) == roster)
+            for roster in found
+        ])
+    tables["rid"] = [
+        tuple(ids[s][frozenset(i for i in students if vec[i] == s)] for s in range(m))
+        for vec in vecs
+    ]
+    return tables
+
+
+def assert_tables_as_defined(problem, universe):
+    oracle = _EdgeOracle(problem, universe)
+    for name, table in defined_tables(problem, universe).items():
+        assert getattr(oracle, name) == table, name
+    return oracle
+
+
+def sampled_matchings(rng, p, count):
+    """count distinct matchings of p, each student seated at random among
+    her acceptable schools and SELF until the quotas hold, in random order."""
+    found = {}
+    while len(found) < count:
+        pick = {i: rng.choice(p.preferences[i] + (SELF,)) for i in p.students}
+        taken = [s for s in pick.values() if s is not SELF]
+        if all(taken.count(s) <= p.quota(s) for s in taken):
+            mu = p.matching(pick)
+            found[mu] = mu
+    return list(found)
+
+
+def tall_instances():
+    """6 seeded instances of 9-12 students, two schools of quota 2-5 and a
+    sample of 40 matchings, each with three lookahead indices."""
+    rng = random.Random(407)
+    for _ in range(6):
+        n = rng.randint(9, 12)
+        students = tuple(f"i{k}" for k in range(1, n + 1))
+        schools = ("s1", "s2")
+        prefs = {i: tuple(rng.sample(schools, rng.randint(1, 2))) for i in students}
+        prios = {s: tuple(rng.sample(students, n)) for s in schools}
+        p = Problem(students, schools, {s: rng.randint(2, 5) for s in schools}, prefs, prios)
+        yield p, sampled_matchings(rng, p, 40), rng.sample(range(40), 3)
+
+
+class TestOracleTables:
+    """The roster index and lookahead tables against their definitions, on
+    shuffled universes; the tall instances give roster codes past 8 priority
+    ranks, and the wide one seats past 256 schools."""
+
+    def test_kernel_instances(self):
+        rng = random.Random(408)
+        for p, universe, _ in kernel_instances():
+            for uni in (universe, rng.sample(universe, len(universe))):
+                assert_tables_as_defined(p, uni)
+
+    def test_tall_instances(self):
+        high = 0  # roster codes with a priority rank of 8 or more
+        for p, universe, refs in tall_instances():
+            oracle = assert_tables_as_defined(p, universe)
+            high += sum(code >> 8 != 0 for codes in oracle.codes for code in codes)
+            n = len(universe)
+            for t in refs:
+                masks = oracle.student_masks(t)
+                for y, b in enumerate(universe):
+                    want = [oracle_edge(p, a, b, universe[t]) for a in universe]
+                    assert oracle.predecessors(y, masks, oracle.all) == sum(
+                        1 << x for x in range(n) if want[x]
+                    ), (y, t)
+                    assert [oracle.looks(x, y) >> t & 1 for x in range(n)] == want, (y, t)
+        assert high
+
+    def test_wide_instance(self):
+        # 300 schools, so a seat takes two bytes; the students' lists pair
+        # schools whose indices share their low byte (0 and 256, ...)
+        rng = random.Random(409)
+        students = tuple(f"i{k}" for k in range(1, 11))
+        schools = tuple(f"s{k}" for k in range(1, 301))
+        pool = schools[:4] + schools[255:260]
+        prefs = {i: tuple(rng.sample(pool, 5)) for i in students}
+        prios = {s: tuple(rng.sample(students, 10)) for s in schools}
+        p = Problem(students, schools, {s: 2 for s in schools}, prefs, prios)
+        universe = sampled_matchings(rng, p, 50)
+        oracle = assert_tables_as_defined(p, universe)
+        seated = {c for vec in oracle.vecs for c in vec}
+        assert {0, 256} <= seated or {1, 257} <= seated or {2, 258} <= seated
 
 
 def small_problems(rng, count):
