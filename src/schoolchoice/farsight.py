@@ -34,12 +34,13 @@ Every search decides a move with one integer rule over the matchings'
 assignment vectors, the problem's rank tables and tables built once per
 universe, all Python-int bitsets over universe indices: a roster index
 (the matchings that seat each student at each seat, and those that give
-each school each of its rosters) and lookahead tables (the matchings that
-seat each student strictly, and weakly, above each seat, and those that
-anchor her claim at each school).  A school's verdict on a move (blocked,
-leavers replaced, or leavers unreplaced) depends only on its roster before
-and after, read as bitsets over its priority ranks, and is memoised per
-roster in per-school lists.
+each school each of its rosters), read off byte strings by `bytes.translate`
+with no loop per matching, and lookahead tables (the matchings that seat
+each student strictly, and weakly, above each seat, and those that anchor
+her claim at each school).  A school's verdict on a move (blocked, leavers
+replaced, or leavers unreplaced) depends only on its roster before and
+after, read as bitsets over its priority ranks, and is memoised per roster
+in per-school lists.
 
 The structural screen of a move is that someone moves and no school blocks;
 `succ_mask` screens every target of one source at once, and no search
@@ -72,8 +73,9 @@ school its newcomers overflow gets the search's verdict, on rank bitsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import ne
+from itertools import chain, compress, repeat
+from operator import lshift, ne, or_
+from struct import Struct, calcsize
 from typing import Iterable, Sequence
 
 from .model import (
@@ -163,19 +165,26 @@ class StableSetReport:
 # Moves
 # --------------------------------------------------------------------------
 
-def _bitset(indices: Sequence[int]) -> int:
-    """The bitset whose set bits are the given ascending indices."""
-    if not indices:
-        return 0
-    buf = bytearray(indices[-1] // 8 + 1)
-    for x in indices:
-        buf[x >> 3] |= 1 << (x & 7)
-    return int.from_bytes(buf, "little")
-
-
 def _members(mask: int) -> list[int]:
     """The indices of the set bits of mask, ascending."""
     return [k for k, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+#: Translation windows: `window[255 - d:511 - d]` maps byte d to "1" (1), others to "0" (0).
+_MARKS, _FLAGS = b"0" * 255 + b"1" + b"0" * 255, bytes(255) + b"\1" + bytes(255)
+
+
+def _hits(planes: list[bytes], values: Sequence[int], window: bytes = _MARKS) -> list[int]:
+    """Per value, the positions whose digit is that value: plane j holds byte j
+    of each position's digit, the last position first.  With `_MARKS` a
+    bitset; with `_FLAGS` an int whose big-endian bytes are 1 there, else 0."""
+    got = [-1] * len(values)
+    for j, plane in enumerate(planes):
+        for k, v in enumerate(values):
+            d = 255 - (v >> 8 * j & 255)
+            hit = plane.translate(window[d:d + 256])
+            got[k] &= int(hit or b"0", 2) if window is _MARKS else int.from_bytes(hit, "big")
+    return got
 
 
 def _prefix_or(keys: Sequence[int], masks: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -293,52 +302,50 @@ class _EdgeOracle:
     can be shortened to a sequence of distinct matchings.
 
     A set of matchings is a Python-int bitset over universe indices.  The
-    roster index, built once, holds the matchings that seat student i at
-    seat c (`seat[i][c]`, c = m for SELF) and those that give school s its
-    roster r (`roster_masks[s][r]`).  The lookahead tables, built in the
-    same pass, hold the matchings that seat i strictly above seat c
-    (`above[i][c]`) and weakly above it (`atleast[i][c]`), and those that
-    anchor i's claim at school s (`anchor[s][i]`: they seat her there, or
-    seat someone there whom she outranks).  Every table is read along
-    whichever axis a search needs: as sources of a move or as lookaheads.
+    roster index holds the matchings that seat student i at seat c
+    (`seat[i][c]`, c = m for SELF) and those that give school s its roster r
+    (`roster_masks[s][r]`, ids in order of first appearance), both read by
+    `_hits` off each student's seats packed as bytes.  The lookahead tables
+    hold the matchings that seat i strictly above seat c (`above[i][c]`) and
+    weakly above it (`atleast[i][c]`), and those that anchor i's claim at
+    school s (`anchor[s][i]`: they seat her there, or seat someone there
+    whom she outranks).  Every table is read along whichever axis a search
+    needs: as sources of a move or as lookaheads.
     """
 
     def __init__(self, problem: Problem, universe: Sequence[Matching]):
-        self.index = {mu: k for k, mu in enumerate(universe)}
-        self.m = m = len(problem.schools)
         self.vecs = [mu._assign for mu in universe]
+        size = len(self.vecs)
+        self.index = dict(zip(self.vecs, range(size)))  # keyed by assignment vector
+        if len(self.index) != size:
+            raise ValueError("the universe repeats a matching")
+        self.m = m = len(problem.schools)
         self.students = range(len(problem.students))
         self.prio = problem._prio_rank
         self.quota = problem._quota_vec
-        self.all = (1 << len(self.vecs)) - 1
-        bit = [1 << i for i in self.students]
-        held = []  # per matching, per seat, the students there as a bitset
-        for vec in self.vecs:
-            row = [0] * (m + 1)
-            for i, c in enumerate(vec):
-                row[c] |= bit[i]
-            held.append(row)
-        self.codes = []  # per school and roster id, its students as a priority-rank bitset
-        self.roster_masks = []  # per school and roster id, the matchings with it
-        ids = []  # per school, per matching, its roster id
-        self.seat = [[0] * (m + 1) for _ in self.students]
-        for s, col in enumerate(list(zip(*held))[:m]):
-            found = {r: k for k, r in enumerate(dict.fromkeys(col))}
-            ids.append(list(map(found.__getitem__, col)))
-            members = [[] for _ in found]
-            for x, k in enumerate(ids[-1]):
-                members[k].append(x)
-            masks = [_bitset(xs) for xs in members]
-            self.roster_masks.append(masks)
-            self.codes.append([sum(1 << self.prio[s][i] for i in _members(r)) for r in found])
-            for roster, mask in zip(found, masks):
-                for i in _members(roster):
-                    self.seat[i][s] |= mask
+        self.all = (1 << size) - 1
+        # per student, her seat in each matching (the last first) as byte planes
+        code = next(c for c in "BHIQ" if m >> 8 * calcsize(c) == 0)  # wide enough for m
+        n, w = len(self.students), calcsize(code)
+        seats = Struct(f"<{size * n}{code}").pack(*chain(*reversed(self.vecs)))
+        planes = [[seats[j::n * w] for j in range(i, i + w)] for i in range(0, n * w, w)]
+        self.seat = [_hits(p, range(m + 1)) for p in planes]
+        flags = [_hits(p, range(m), _FLAGS) for p in planes]  # a byte per matching
+        self.codes, self.roster_masks, ids = [], [], []  # ids: per school, per matching
+        for s, prio in enumerate(self.prio):
+            # per matching, its roster code: base-256 digits of 8 priority ranks
+            lanes = [sum(row[s] << r - 8 * g for row, r in zip(flags, prio) if r >> 3 == g)
+                     for g in range(len(prio) // 8 + 1)]
+            keys = lanes[0].to_bytes(size, "little")  # read per matching
+            for g, lane in enumerate(lanes[1:], 1):  # past 8 students, OR in the higher digits
+                digits = map(lshift, lane.to_bytes(size, "little"), repeat(8 * g))
+                keys = list(map(or_, keys, digits))
+            found = {key: k for k, key in enumerate(dict.fromkeys(keys))}
+            ids.append(list(map(found.__getitem__, keys)))
+            self.codes.append(list(found))
+            self.roster_masks.append(_hits([x.to_bytes(size, "big") for x in lanes], list(found)))
         self.above, self.atleast = [], []
         for row, rank in zip(self.seat, problem._pref_rank):
-            row[m] = self.all
-            for s in range(m):
-                row[m] &= ~row[s]
             above, atleast = _prefix_or(rank, row)
             self.above.append(above)
             self.atleast.append(atleast)
@@ -581,21 +588,23 @@ def _universe(problem: Problem, universe, cap) -> list[Matching]:
     return list(universe)
 
 
+def _count(value, least: int, name: str, other: str = "") -> int:
+    """value when an int >= least; anything else, a bool too, is a ValueError naming `other`."""
+    if type(value) is not int or value < least:  # type, not isinstance: a bool is no count
+        raise ValueError(f"{name} must be {other}an integer >= {least}, not {value!r}")
+    return value
+
+
 def _lookahead(horizon) -> int | None:
-    """The moves a horizon looks ahead: None for FARSIGHTED, else an int k >= 1.
-    Anything else, a float or a bool included, is a ValueError."""
-    if horizon == FARSIGHTED:
-        return None
-    if type(horizon) is not int or horizon < 1:  # type, not isinstance: a bool is no horizon
-        raise ValueError(f"horizon must be {FARSIGHTED!r} or an integer >= 1, not {horizon!r}")
-    return horizon
+    """The moves a horizon looks ahead: None for FARSIGHTED, else an int k >= 1."""
+    return None if horizon == FARSIGHTED else _count(horizon, 1, "horizon", f"{FARSIGHTED!r} or ")
 
 
 def _index(oracle: _EdgeOracle, mu: Matching) -> int:
     """mu's index in the oracle's universe; a ValueError when it has none."""
-    if mu not in oracle.index:
+    if getattr(mu, "_assign", None) not in oracle.index:
         raise ValueError("matching not in the enumerated universe")
-    return oracle.index[mu]
+    return oracle.index[mu._assign]
 
 
 def _oracle(problem: Problem, uni: Sequence[Matching]) -> _EdgeOracle:
@@ -646,11 +655,8 @@ def reachability_matrix(
 
 def _transpose(cols: list[int]) -> list[int]:
     """The rows of the bitset matrix whose columns are cols."""
-    rows: list[list[int]] = [[] for _ in cols]
-    for t, col in enumerate(cols):
-        for x in _members(col):
-            rows[x].append(t)
-    return [_bitset(row) for row in rows]
+    digits = zip(*[f"{col:0{len(cols)}b}" for col in reversed(cols)])  # row x's, the last first
+    return [int("".join(row), 2) for row in digits][::-1]
 
 
 # --------------------------------------------------------------------------
@@ -682,6 +688,7 @@ def phi_horizon(
     """
     if _lookahead(k) is None:
         raise ValueError("phi_horizon needs an integer horizon; phi is full lookahead")
+    _count(0 if depth_cap is None else depth_cap, 0, "depth_cap", "None or ")
     uni = _universe(problem, universe, cap)
     oracle = _oracle(problem, uni)
     reachable, partial = _phi_horizon(oracle, _index(oracle, mu), k, depth_cap, node_budget)
@@ -841,6 +848,7 @@ def check_stable_set(
     if not cand:
         raise ValueError("candidate set must be nonempty")
     k = _lookahead(horizon)
+    _count(0 if depth_cap is None else depth_cap, 0, "depth_cap", "None or ")
     if k is None and depth_cap is not None:
         raise ValueError("a depth cap needs a horizon")
     uni = _universe(problem, universe, cap)
@@ -917,6 +925,7 @@ def find_stable_sets(
     literal order, and come by size, then by those positions.  A search
     that needs more than `DEFAULT_NODE_BUDGET` nodes raises CapacityError.
     """
+    _count(max_size, 1, "max_size")
     uni = _universe(problem, universe, cap)
     cols = _columns(problem, uni)
     rows = _transpose(cols)

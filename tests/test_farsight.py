@@ -641,6 +641,51 @@ class TestStableSets:
         assert several  # the order among several sets is checked too
 
 
+class TestRefusedArguments:
+    """Arguments the searches refuse with a ValueError rather than answer."""
+
+    @pytest.mark.parametrize("search", [
+        "phi", "phi_horizon", "check_stable_set", "reachability_matrix", "find_stable_sets",
+    ])
+    def test_universe_that_repeats_a_matching(
+        self, trading_instance, trading_goldens, trading_universe, search
+    ):
+        # a repeated TTC made {TTC} unstable and [TTC, TTC] a stable set
+        p, ttc, u = trading_instance, trading_goldens["ttc"], list(trading_universe)
+        calls = {
+            "phi": lambda: phi(p, ttc, universe=u + u[:1]),
+            "phi_horizon": lambda: phi_horizon(p, ttc, 2, universe=u[:1] + u),
+            "check_stable_set": lambda: check_stable_set(p, [ttc], universe=u + u[:5]),
+            "reachability_matrix": lambda: reachability_matrix(p, universe=u + u[-1:]),
+            "find_stable_sets": lambda: find_stable_sets(p, max_size=2, universe=u + u[:3]),
+        }
+        check_stable_set(p, [ttc], universe=u)  # a shared oracle for u is no excuse
+        with pytest.raises(ValueError, match="repeats a matching"):
+            calls[search]()
+
+    @pytest.mark.parametrize("cap", [1.5, -1, True, "2"])
+    def test_depth_cap_is_none_or_a_count(
+        self, trading_instance, trading_goldens, trading_universe, cap
+    ):
+        # 1.5 answered as 2 did, and -1 and True were taken
+        p, u = trading_instance, trading_universe
+        with pytest.raises(ValueError, match="depth_cap must be None or an integer >= 0"):
+            phi_horizon(p, trading_goldens["da"], 3, depth_cap=cap, universe=u)
+        with pytest.raises(ValueError, match="depth_cap must be None or an integer >= 0"):
+            check_stable_set(p, [trading_goldens["ttc"]], horizon=3, depth_cap=cap, universe=u)
+
+    def test_depth_cap_zero_is_a_cap(self, trading_instance, trading_goldens, trading_universe):
+        res = phi_horizon(trading_instance, trading_goldens["da"], 3, depth_cap=0,
+                          universe=trading_universe)
+        assert not res.reachable and res.partial
+
+    @pytest.mark.parametrize("size", [0, -1, 1.5, True, None])
+    def test_max_size_is_a_positive_count(self, trading_instance, trading_universe, size):
+        # 0 listed no set without a word, and 1.5 was taken
+        with pytest.raises(ValueError, match="max_size must be an integer >= 1"):
+            find_stable_sets(trading_instance, max_size=size, universe=trading_universe)
+
+
 def lattice_stable_sets(problem, uni, max_size):
     """Every stable set of at most max_size matchings, by walking the subset
     lattice in literal order: a reference for the search."""
