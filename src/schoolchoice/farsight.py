@@ -176,8 +176,8 @@ _MARKS, _FLAGS = b"0" * 255 + b"1" + b"0" * 255, bytes(255) + b"\1" + bytes(255)
 
 def _hits(planes: list[bytes], values: Sequence[int], window: bytes = _MARKS) -> list[int]:
     """Per value, the positions whose digit is that value: plane j holds byte j
-    of each position's digit, the last position first.  With `_MARKS` a
-    bitset; with `_FLAGS` an int whose big-endian bytes are 1 there, else 0."""
+    of each position's digit, the last position first.  With `_MARKS` a bitset
+    (0 for empty planes); with `_FLAGS` an int whose big-endian bytes are 1 there."""
     got = [-1] * len(values)
     for j, plane in enumerate(planes):
         for k, v in enumerate(values):
