@@ -33,7 +33,7 @@ from schoolchoice import (
 )
 from schoolchoice import farsight
 from schoolchoice.farsight import (
-    BLOCKED, UNREPLACED, MoveStep, PathViolation, _EdgeOracle, _school_verdict,
+    BLOCKED, UNREPLACED, MoveStep, PathViolation, _EdgeOracle, _school_verdict, _step_violation,
 )
 from schoolchoice.model import CapacityError
 from schoolchoice.textio import InstanceParseError, certificate_from_dict, certificate_to_dict
@@ -342,6 +342,25 @@ class TestFindEnforcingCoalition:
             )
             assert found == Coalition(students, schools)
 
+    def test_every_search_move_passes_the_validator(self):
+        # search within validator: each move the search makes, with the
+        # coalition it forms, is one the certificate checker accepts; on
+        # criterion 6's instances that is about a thousand moves
+        rng = random.Random(61)
+        instances = moves = 0
+        while instances < 50:
+            p = random_problem(rng, max_students=3, max_schools=3)
+            universe = enumerate_matchings(p, cap=100)
+            if len(universe) > 8:
+                continue
+            instances += 1
+            for a, b, ref in itertools.product(universe, repeat=3):
+                coalition = find_enforcing_coalition(p, a, b, ref)
+                if coalition is not None:
+                    moves += 1
+                    assert _step_violation(p, a, b, coalition, ref) is None, (a, b, ref)
+        assert moves > 1000
+
 
 class TestPhi:
     def test_deferred_acceptance_reaches_only_trading_outcome(
@@ -538,6 +557,28 @@ class TestStableSets:
     def test_find_singletons(self, trading_instance, trading_goldens, trading_universe):
         found = find_singleton_stable_sets(trading_instance, universe=trading_universe)
         assert found == [trading_goldens["ttc"]]
+
+    def test_singleton_query_agrees_with_the_set_check(self):
+        # the two reach one rule by different runs: every matching's own
+        # exhaustive search, against goal-stopped searches with the lone
+        # candidate's own run skipped
+        rng = random.Random(2021)
+        instances = found = 0
+        while instances < 16:
+            p = random_problem(rng, 4, 3)
+            universe = enumerate_matchings(p)
+            if not 2 <= len(universe) <= 19:
+                continue
+            instances += 1
+            for horizon in (FARSIGHTED, 1, 2, 3):
+                want = [
+                    mu for mu in universe
+                    if check_stable_set(p, [mu], horizon, universe=universe).verdict == "stable"
+                ]
+                got = find_singleton_stable_sets(p, horizon, universe=universe)
+                assert got == sort_matchings(want), horizon
+                found += len(got)
+        assert found  # some singletons are stable, so both sides are read
 
     def test_iterated_clinch_outcome_is_singleton_stable(self, iterated_clinch_instance):
         mu, _ = run_ct(iterated_clinch_instance)
