@@ -55,8 +55,11 @@ mask of the move whose window closes, an endpoint is certified by the AND
 of the masks whose windows are still open, and the children at the depth
 cap are certified together by one AND with the node's `direct` set (its
 moves that hold under their own target, built for that node on first use).
-A horizon stable-set check stops each run from outside the candidate set
-at its first certified candidate.  The stable sets are the kernels of the
+Every stable-set query reads one helper, `_reach_columns`: per candidate,
+the matchings with a path into it, and the matchings whose search was cut
+short (unknown, never a violation).  Under a horizon a run from outside
+the candidate set stops at its first certified candidate and a lone
+candidate's own run is skipped.  The stable sets are the kernels of the
 digraph x -> y iff y is in phi(x), which `find_stable_sets` finds by a
 backtracking search over its rows and columns.  Everything is plain
 Python; no numpy.
@@ -82,6 +85,7 @@ from .model import (
     CapacityError,
     Matching,
     Problem,
+    _count,
     enumerate_matchings,
     sort_matchings,
 )
@@ -583,16 +587,11 @@ def validate_path_horizon(problem: Problem, cert: PathCertificate) -> PathViolat
 # --------------------------------------------------------------------------
 
 def _universe(problem: Problem, universe, cap) -> list[Matching]:
+    """The search's universe; cap is checked even when a universe is given."""
+    _count(cap, 1, "cap")
     if universe is None:
         return enumerate_matchings(problem, cap=cap)
     return list(universe)
-
-
-def _count(value, least: int, name: str, other: str = "") -> int:
-    """value when an int >= least; anything else, a bool too, is a ValueError naming `other`."""
-    if type(value) is not int or value < least:  # type, not isinstance: a bool is no count
-        raise ValueError(f"{name} must be {other}an integer >= {least}, not {value!r}")
-    return value
 
 
 def _lookahead(horizon) -> int | None:
@@ -637,12 +636,6 @@ def phi(
     }
 
 
-def _columns(problem: Problem, uni: list[Matching]) -> list[int]:
-    """Per target t, the bitset of the matchings whose phi contains t."""
-    oracle = _oracle(problem, uni)
-    return [oracle.sources_reaching(t) for t in range(len(uni))]
-
-
 def reachability_matrix(
     problem: Problem,
     universe: Sequence[Matching] | None = None,
@@ -650,7 +643,7 @@ def reachability_matrix(
 ) -> tuple[list[int], list[Matching]]:
     """Rows R as int bitsets, R[x] >> t & 1 iff target t is in phi(x); and U."""
     uni = _universe(problem, universe, cap)
-    return _transpose(_columns(problem, uni)), uni
+    return _transpose(_reach_columns(_oracle(problem, uni), range(len(uni)), None, None)[0]), uni
 
 
 def _transpose(cols: list[int]) -> list[int]:
@@ -689,6 +682,7 @@ def phi_horizon(
     if _lookahead(k) is None:
         raise ValueError("phi_horizon needs an integer horizon; phi is full lookahead")
     _count(0 if depth_cap is None else depth_cap, 0, "depth_cap", "None or ")
+    _count(node_budget, 1, "node_budget")
     uni = _universe(problem, universe, cap)
     oracle = _oracle(problem, uni)
     reachable, partial = _phi_horizon(oracle, _index(oracle, mu), k, depth_cap, node_budget)
@@ -787,47 +781,33 @@ def _phi_horizon(
 # Stable sets
 # --------------------------------------------------------------------------
 
-def _horizon_runs(
-    oracle: _EdgeOracle, k: int, depth_cap: int | None, cand: Sequence[int] = ()
-) -> list[tuple[int, bool]]:
-    """`_phi_horizon` from every matching of the universe on one oracle.
+def _reach_columns(
+    oracle: _EdgeOracle, cand: Sequence[int], k: int | None, depth_cap: int | None
+) -> tuple[list[int], int]:
+    """Per candidate t, the bitset of the matchings with a path into t; and
+    the bitset of the matchings whose search was cut short.
 
-    A run from outside the candidate set stops at its first certified
-    candidate, since `_horizon_check` reads no more of it.  The runs of a
-    multi-matching candidate set stay exhaustive; a lone candidate's own
-    run is never read, so it is skipped and left empty.
+    Under full lookahead, one reverse search per candidate, never cut.
+    Under horizon k, one `_phi_horizon` per matching of the universe.  A
+    run from outside the candidate set stops at its first certified
+    candidate, so it sets the bit of one column it reaches, not of each.
+    The runs from a multi-matching set's own members stay exhaustive; a
+    lone candidate's own run decides nothing, so it is skipped.
     """
-    goal = sum(1 << x for x in cand)
-    runs = []
+    if k is None:
+        return [oracle.sources_reaching(t) for t in cand], 0
+    column = {t: j for j, t in enumerate(cand)}
+    goal = sum(1 << t for t in cand)
+    cols, cut = [0] * len(cand), 0
     for x in range(len(oracle.vecs)):
-        if not goal >> x & 1:
-            runs.append(_phi_horizon(oracle, x, k, depth_cap, DEFAULT_NODE_BUDGET, goal))
-        elif len(cand) > 1:
-            runs.append(_phi_horizon(oracle, x, k, depth_cap, DEFAULT_NODE_BUDGET))
-        else:
-            runs.append((0, False))
-    return runs
-
-
-def _horizon_check(runs, cand: list[int]) -> tuple[list, list, bool]:
-    """Internal pairs, external violations and whether anything is unknown.
-
-    A found path is definitive.  A matching whose search was cut short and
-    reached no candidate is unknown, not an external violation; so is
-    internal stability when a candidate's own search was cut short.
-    """
-    inside = sum(1 << x for x in cand)
-    internal = [(a, b) for a in cand for b in cand if a != b and runs[a][0] >> b & 1]
-    unknown = len(cand) > 1 and any(runs[a][1] for a in cand)
-    external = []
-    for x, (reach, partial) in enumerate(runs):
-        if inside >> x & 1 or reach & inside:
+        if x in column and len(cand) == 1:
             continue
-        if partial:
-            unknown = True
-        else:
-            external.append(x)
-    return internal, external, unknown
+        stop = 0 if x in column else goal
+        reach, partial = _phi_horizon(oracle, x, k, depth_cap, DEFAULT_NODE_BUDGET, stop)
+        for t in _members(reach & goal):
+            cols[column[t]] |= 1 << x
+        cut |= partial << x
+    return cols, cut
 
 
 def check_stable_set(
@@ -840,9 +820,12 @@ def check_stable_set(
 ) -> StableSetReport:
     """Internal/external stability report for a candidate set of matchings.
 
-    Under a horizon, a verdict a cut-off search cannot settle is
-    `inconclusive` unless an internal violation, a found path, exists.
-    A depth cap bounds the horizon search only, so it needs a horizon.
+    A found path is definitive.  A matching outside the set whose search
+    was cut short and reached no candidate is unknown, not an external
+    violation; so is internal stability when a member's own search was cut
+    short.  Then the verdict is `inconclusive`, unless an internal
+    violation exists.  A depth cap bounds the horizon search only, so it
+    needs a horizon.
     """
     cand = sort_matchings(set(candidate))
     if not cand:
@@ -854,32 +837,25 @@ def check_stable_set(
     uni = _universe(problem, universe, cap)
     oracle = _oracle(problem, uni)
     idx = [_index(oracle, mu) for mu in cand]
-    if k is None:
-        reach_to = [oracle.sources_reaching(t) for t in idx]
-        internal = [
-            (a, b) for a in idx for j, b in enumerate(idx) if a != b and reach_to[j] >> a & 1
-        ]
-        covered = 0
-        for t, r in zip(idx, reach_to):
-            covered |= r | 1 << t
-        external = _members(oracle.all & ~covered)
-        unknown = False
+    cols, cut = _reach_columns(oracle, idx, k, depth_cap)
+    internal = [(a, b) for a in idx for b, col in zip(idx, cols) if a != b and col >> a & 1]
+    inside = sum(1 << t for t in idx)
+    uncovered = oracle.all & ~inside
+    for col in cols:
+        uncovered &= ~col
+    unknown = bool(cut & (inside | uncovered))
+    external = _members(uncovered & ~cut)
+    if internal or (external and not unknown):
+        verdict = "unstable"
     else:
-        runs = _horizon_runs(oracle, k, depth_cap, idx)
-        internal, external, unknown = _horizon_check(runs, idx)
+        verdict = "inconclusive" if unknown else "stable"
     return StableSetReport(
         candidate=cand,
         internal_violations=[(uni[a], uni[b]) for a, b in internal],
         external_violations=sort_matchings(uni[x] for x in external),
-        verdict=_verdict(internal, external, unknown),
+        verdict=verdict,
         partial=unknown,
     )
-
-
-def _verdict(internal: list, external: list, unknown: bool) -> str:
-    if internal or (external and not unknown):
-        return "unstable"
-    return "inconclusive" if unknown else "stable"
 
 
 def find_singleton_stable_sets(
@@ -888,22 +864,13 @@ def find_singleton_stable_sets(
     universe: Sequence[Matching] | None = None,
     cap: int = DEFAULT_SEARCH_CAP,
 ) -> list[Matching]:
-    """All matchings mu with {mu} a (horizon-k) farsighted stable set."""
+    """All matchings mu with {mu} a (horizon-k) farsighted stable set: those
+    that every other matching has a path into."""
     k = _lookahead(horizon)
     uni = _universe(problem, universe, cap)
     oracle = _oracle(problem, uni)
-    if k is None:
-        out = [
-            mu for t, mu in enumerate(uni)
-            if oracle.sources_reaching(t).bit_count() == len(uni) - 1
-        ]
-    else:
-        runs = _horizon_runs(oracle, k, None)
-        out = [
-            mu for t, mu in enumerate(uni)
-            if _verdict(*_horizon_check(runs, [t])) == "stable"
-        ]
-    return sort_matchings(out)
+    cols, _ = _reach_columns(oracle, range(len(uni)), k, None)
+    return sort_matchings(mu for t, mu in enumerate(uni) if cols[t] == oracle.all & ~(1 << t))
 
 
 def find_stable_sets(
@@ -927,7 +894,7 @@ def find_stable_sets(
     """
     _count(max_size, 1, "max_size")
     uni = _universe(problem, universe, cap)
-    cols = _columns(problem, uni)
+    cols, _ = _reach_columns(_oracle(problem, uni), range(len(uni)), None, None)
     rows = _transpose(cols)
     everyone = (1 << len(uni)) - 1
 

@@ -56,6 +56,13 @@ SELF = _SelfToken()
 DEFAULT_ENUMERATION_CAP = 10**7
 
 
+def _count(value, least: int, name: str, other: str = "") -> int:
+    """value when an int >= least; anything else, a bool too, is a ValueError naming `other`."""
+    if type(value) is not int or value < least:  # type, not isinstance: a bool is no count
+        raise ValueError(f"{name} must be {other}an integer >= {least}, not {value!r}")
+    return value
+
+
 def _first_positions(names: tuple) -> tuple[dict, list]:
     """Each name's first position, and for each position the next position
     holding the same name (len(names) if there is none)."""
@@ -343,15 +350,16 @@ def enumerate_matchings(
 
     Every student may be assigned to any school with a free seat or to SELF,
     regardless of her preferences; individual rationality is a separate
-    predicate.  Raises CapacityError once more than `cap` matchings exist.
+    predicate.  Raises CapacityError once more than `cap` matchings exist,
+    and ValueError, as `iter_matchings` does, unless cap is an int >= 1.
     """
-    out = list(iter_matchings(problem, cap=cap))
-    return out
+    return list(iter_matchings(problem, cap=cap))
 
 
 def iter_matchings(
     problem: Problem, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[Matching]:
+    _count(cap, 1, "cap")  # on the call, not on the first matching
     n = len(problem.students)
     m = len(problem.schools)
     remaining = list(problem._quota_vec)
@@ -377,7 +385,7 @@ def iter_matchings(
         vec[k] = m
         yield from rec(k + 1)
 
-    yield from rec(0)
+    return rec(0)
 
 
 def is_individually_rational(problem: Problem, mu: Matching) -> bool:

@@ -20,6 +20,7 @@ from schoolchoice import (
     find_singleton_stable_sets,
     find_stable_sets,
     is_individually_rational,
+    is_pareto_efficient,
     phi,
     phi_horizon,
     reachability_matrix,
@@ -726,11 +727,37 @@ class TestRefusedArguments:
         with pytest.raises(ValueError, match="max_size must be an integer >= 1"):
             find_stable_sets(trading_instance, max_size=size, universe=trading_universe)
 
+    @pytest.mark.parametrize("value", [0, -3, 0.5, 1.5, True, None])
+    def test_cap_and_node_budget_are_positive_counts(
+        self, trading_instance, trading_goldens, trading_universe, value
+    ):
+        # a node budget of 1.5 reached what 2 did, and cap=True raised
+        # "more than True matchings"; cap is checked even beside a universe
+        p, da, u = trading_instance, trading_goldens["da"], trading_universe
+        start = matching_of(p, i1="s1", i2="s1", i3="s2", i4="self")
+        with pytest.raises(ValueError, match="node_budget must be an integer >= 1"):
+            phi_horizon(p, start, 3, depth_cap=3, universe=u, node_budget=value)
+        calls = [
+            lambda: phi(p, da, universe=u, cap=value),
+            lambda: phi_horizon(p, da, 3, universe=u, cap=value),
+            lambda: check_stable_set(p, [da], universe=u, cap=value),
+            lambda: check_stable_set(p, [da], horizon=3, universe=u, cap=value),
+            lambda: reachability_matrix(p, universe=u, cap=value),
+            lambda: find_singleton_stable_sets(p, universe=u, cap=value),
+            lambda: find_stable_sets(p, universe=u, cap=value),
+            lambda: check_stable_set(p, [da], cap=value),
+            lambda: enumerate_matchings(p, cap=value),
+            lambda: is_pareto_efficient(p, da, cap=value),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^cap must be an integer >= 1"):
+                call()
+
 
 def lattice_stable_sets(problem, uni, max_size):
     """Every stable set of at most max_size matchings, by walking the subset
     lattice in literal order: a reference for the search."""
-    cols = farsight._columns(problem, uni)
+    cols, _ = farsight._reach_columns(farsight._oracle(problem, uni), range(len(uni)), None, None)
     n = len(uni)
     everyone = (1 << n) - 1
     order = sorted(range(n), key=lambda x: uni[x].literal())
