@@ -1,6 +1,8 @@
+import io
 import json
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -32,6 +34,18 @@ pref i4: s1 s3 s2
 priority s1: i1 i3 i4 i2
 priority s2: i1 i2 i4 i3
 priority s3: i2 i3 i4 i1
+"""
+
+
+SMALL_INSTANCE = """\
+students: i1 i2
+schools: s1 s2
+quota s1 = 1
+quota s2 = 1
+pref i1: s1 s2
+pref i2: s2
+priority s1: i1 i2
+priority s2: i2 i1
 """
 
 
@@ -90,6 +104,58 @@ class TestInstanceFormat:
             "identifier 's,2' cannot be written in a matching literal",
             "school 'Self' is named self, which matching literals reserve",
         ]
+
+
+    @pytest.mark.parametrize("text, diagnostics", [
+        (SMALL_INSTANCE + "nonsense here\n", ["line 9: unrecognised line 'nonsense here'"]),
+        ("schools: s1\nstudents: i1\nquota s1 = 1\npref i1: s1\npriority s1: i1\n",
+         ["line 2: students section out of order (expected schools lines or later sections)"]),
+        (SMALL_INSTANCE.replace("quota s2 = 1\n", "") + "quota s2 = 1\nstudents: i3\n",
+         ["line 8: quota section out of order (expected priority lines or later sections)",
+          "line 9: students section out of order (expected priority lines or later sections)",
+          "line 9: duplicate students section"]),
+        (SMALL_INSTANCE.replace("schools:", "students: i3\nschools:"),
+         ["line 2: duplicate students section"]),
+        (SMALL_INSTANCE.replace("quota s1", "schools: s3\nquota s1"),
+         ["line 3: duplicate schools section"]),
+        ("students:\nschools: s1\n",
+         ["line 1: students section is empty", "missing students section"]),
+        (SMALL_INSTANCE.replace("schools: s1 s2", "schools:"),
+         ["line 2: schools section is empty", "missing schools section"]),
+        # a non-empty header after an empty one is no duplicate
+        ("students:\n" + SMALL_INSTANCE, ["line 1: students section is empty"]),
+        (SMALL_INSTANCE.replace("schools: s1 s2", "schools:  # none yet\nschools: s1 s2"),
+         ["line 2: schools section is empty"]),
+        (SMALL_INSTANCE.replace("quota s1 = 1", "quota s1 = one")
+         .replace("pref i2: s2", "pref i2 s2").replace("priority s1: i1 i2", "priority: i1 i2"),
+         ["line 3: malformed quota line 'quota s1 = one'",
+          "line 6: malformed pref line 'pref i2 s2'",
+          "line 7: malformed priority line 'priority: i1 i2'"]),
+        (SMALL_INSTANCE.replace("quota s2 = 1", "quota s2 = 1\nquota s1 = 2")
+         .replace("pref i2: s2", "pref i2: s2\npref i2: s1")
+         .replace("priority s2: i2 i1", "priority s2: i2 i1\npriority s2: i1 i2"),
+         ["line 5: duplicate quota for 's1'",
+          "line 8: duplicate pref line for 'i2'",
+          "line 11: duplicate priority line for 's2'"]),
+        ("quota s1 = 1\n", ["missing students section", "missing schools section"]),
+        # a keyed section is told by its bare prefix, a header by its colon
+        (SMALL_INSTANCE.replace("quota s1 = 1", "quotas s1 = 2")
+         .replace("pref i1: s1 s2", "prefer i1: s1")
+         .replace("priority s1: i1 i2", "priority s1: i1 i2\nstudents : i1"),
+         ["line 3: malformed quota line 'quotas s1 = 2'",
+          "line 5: malformed pref line 'prefer i1: s1'",
+          "line 8: unrecognised line 'students : i1'"]),
+    ], ids=[
+        "unrecognised", "out-of-order", "out-of-order-twice", "duplicate-students",
+        "duplicate-schools", "empty-students", "empty-schools", "students-after-empty",
+        "schools-after-empty", "malformed-keyed", "duplicate-keyed", "missing-headers",
+        "prefix-quirks",
+    ])
+    def test_every_parse_diagnostic(self, text, diagnostics):
+        with pytest.raises(InstanceParseError) as err:
+            parse_instance(text)
+        assert err.value.diagnostics == diagnostics
+        assert str(err.value) == "; ".join(diagnostics)
 
 
 class TestMatchingLiterals:
@@ -441,6 +507,67 @@ class TestCommands:
         second = capsys.readouterr().out
         assert first == second
         assert first.strip().splitlines() == sorted(first.strip().splitlines())
+
+
+#: Every subcommand with the arguments it requires; CERT stands for the
+#: path of a valid certificate.
+SUBCOMMANDS = [
+    ["solve", "--mechanism", "ttc"],
+    ["properties", "--matching", START],
+    ["phi", "--from", START],
+    ["path", "--target", "ttc", "--from", START],
+    ["validate-path", "--file", "CERT"],
+    ["check-set", "--set", START],
+    ["find-singletons"],
+    ["find-sets", "--max-size", "1"],
+    ["enumerate"],
+]
+
+
+class TestInstanceLoad:
+    @pytest.fixture()
+    def run(self, tmp_path, capsys):
+        """main on a subcommand with the given instance argument; its exit
+        code, stdout and stderr."""
+        problem = parse_instance(TRADING_INSTANCE)
+        cert_file = tmp_path / "certificate.json"
+        cert_file.write_text(
+            dump_certificate(build_path_to_ttc(problem, parse_matching(problem, START))),
+            encoding="utf-8",
+        )
+
+        def run(argv, instance):
+            args = [argv[0], instance] + [str(cert_file) if a == "CERT" else a for a in argv[1:]]
+            code = main(args)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        return run
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=[argv[0] for argv in SUBCOMMANDS])
+    def test_missing_instance_exits_2(self, argv, run, tmp_path):
+        code, out, err = run(argv, str(tmp_path / "absent.instance"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=[argv[0] for argv in SUBCOMMANDS])
+    def test_malformed_instance_exits_2(self, argv, run, tmp_path):
+        bad = tmp_path / "bad.instance"
+        bad.write_text(TRADING_INSTANCE.replace("schools: s1 s2 s3", "schools:"), encoding="utf-8")
+        code, out, err = run(argv, str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 3: schools section is empty\nerror: missing schools section\n"
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=[argv[0] for argv in SUBCOMMANDS])
+    def test_dash_reads_stdin(self, argv, run, instance_file, monkeypatch):
+        expected = run(argv, instance_file)
+        stdin = io.TextIOWrapper(io.BytesIO(TRADING_INSTANCE.encode("utf-8")), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert run(argv, "-") == expected
+        assert expected[0] in (0, 1) and expected[1]
 
 
 class TestCertificateSerialization:
