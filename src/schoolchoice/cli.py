@@ -1,7 +1,9 @@
 """Command line interface.
 
-Every subcommand reads an instance file and writes a deterministic report
-to standard output, as text or JSON.  Exit codes: 0 success, 1 negative
+Every subcommand reads an instance file, which `main` loads and checks
+before the subcommand runs, and writes a deterministic report to standard
+output, as text or JSON.  Input files are read as UTF-8, a leading
+byte-order mark dropped.  Exit codes: 0 success, 1 negative
 verdict on a boolean query (unstable set, invalid path, unstable matching),
 2 malformed input, 3 an exhaustive computation exceeded its cap.
 """
@@ -53,13 +55,10 @@ BUILDERS = {
 }
 
 
-def _load_problem(path: str):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return parse_instance(text)
+def _read(path: str) -> str:
+    """A file's text, read as UTF-8 with a leading byte-order mark dropped."""
+    with open(path, encoding="utf-8-sig") as fh:
+        return fh.read()
 
 
 def _emit(args, text_lines, payload) -> None:
@@ -70,8 +69,7 @@ def _emit(args, text_lines, payload) -> None:
             print(line)
 
 
-def cmd_solve(args) -> int:
-    problem = _load_problem(args.instance)
+def cmd_solve(problem, args) -> int:
     mu, trace = run_mechanism(args.mechanism, problem)
     lines = [mu.literal()]
     payload = {"mechanism": args.mechanism, "matching": mu.literal()}
@@ -82,8 +80,7 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_properties(args) -> int:
-    problem = _load_problem(args.instance)
+def cmd_properties(problem, args) -> int:
     mu = parse_matching(problem, args.matching)
     rational = is_individually_rational(problem, mu)
     nonwasteful = is_non_wasteful(problem, mu)
@@ -115,8 +112,7 @@ def cmd_properties(args) -> int:
     return 0 if stable else 1
 
 
-def cmd_phi(args) -> int:
-    problem = _load_problem(args.instance)
+def cmd_phi(problem, args) -> int:
     mu = parse_matching(problem, getattr(args, "from"))
     if args.horizon is None:
         result = sort_matchings(phi(problem, mu))
@@ -139,8 +135,7 @@ def cmd_phi(args) -> int:
     return 0
 
 
-def cmd_path(args) -> int:
-    problem = _load_problem(args.instance)
+def cmd_path(problem, args) -> int:
     mu = parse_matching(problem, getattr(args, "from"))
     builder = BUILDERS[args.target]
     cert = builder(problem, mu)
@@ -169,10 +164,8 @@ def cmd_path(args) -> int:
     return 0 if violation is None else 1
 
 
-def cmd_validate_path(args) -> int:
-    problem = _load_problem(args.instance)
-    with open(args.file, "r", encoding="utf-8") as fh:
-        cert = load_certificate(problem, fh.read())
+def cmd_validate_path(problem, args) -> int:
+    cert = load_certificate(problem, _read(args.file))
     violation = validate_path_horizon(problem, cert)
     ok = violation is None
     lines = ["valid" if ok else f"invalid: {violation}"]
@@ -181,8 +174,7 @@ def cmd_validate_path(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_check_set(args) -> int:
-    problem = _load_problem(args.instance)
+def cmd_check_set(problem, args) -> int:
     candidate = [parse_matching(problem, lit) for lit in args.set]
     horizon = FARSIGHTED if args.horizon is None else args.horizon
     report = check_stable_set(problem, candidate, horizon)
@@ -197,8 +189,7 @@ def cmd_check_set(args) -> int:
     return 0 if report.verdict == "stable" else 1
 
 
-def cmd_find_singletons(args) -> int:
-    problem = _load_problem(args.instance)
+def cmd_find_singletons(problem, args) -> int:
     horizon = FARSIGHTED if args.horizon is None else args.horizon
     found = find_singleton_stable_sets(problem, horizon)
     lines = [mu.literal() for mu in found]
@@ -206,8 +197,7 @@ def cmd_find_singletons(args) -> int:
     return 0
 
 
-def cmd_find_sets(args) -> int:
-    problem = _load_problem(args.instance)
+def cmd_find_sets(problem, args) -> int:
     found = find_stable_sets(problem, max_size=args.max_size)
     lines = []
     for group in found:
@@ -217,8 +207,7 @@ def cmd_find_sets(args) -> int:
     return 0
 
 
-def cmd_enumerate(args) -> int:
-    problem = _load_problem(args.instance)
+def cmd_enumerate(problem, args) -> int:
     matchings = enumerate_matchings(problem)
     lines = [str(len(matchings))]
     payload = {"count": len(matchings)}
@@ -264,62 +253,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, fn, help):
+        """A subcommand that main runs as fn(problem, args) on its instance."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("instance", help="instance file path, or - for stdin")
         p.add_argument("--format", choices=["text", "json"], default="text")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("solve", help="run a mechanism")
-    common(p)
+    p = command("solve", cmd_solve, "run a mechanism")
     p.add_argument("--mechanism", choices=sorted(MECHANISMS), required=True)
     p.add_argument("--trace", action="store_true", help="include the per-step trace")
-    p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("properties", help="rationality/stability/efficiency of a matching")
-    common(p)
+    p = command("properties", cmd_properties, "rationality/stability/efficiency of a matching")
     p.add_argument("--matching", required=True, help="matching literal")
-    p.set_defaults(fn=cmd_properties)
 
-    p = sub.add_parser("phi", help="matchings reachable by farsighted improving paths")
-    common(p)
+    p = command("phi", cmd_phi, "matchings reachable by farsighted improving paths")
     p.add_argument("--from", required=True, help="source matching literal")
     p.add_argument("--horizon", type=_int_at_least(1), default=None, help="limited lookahead k")
     p.add_argument("--depth-cap", type=_int_at_least(0), default=None)
-    p.set_defaults(fn=cmd_phi)
 
-    p = sub.add_parser("path", help="construct an improving path to a mechanism outcome")
-    common(p)
+    p = command("path", cmd_path, "construct an improving path to a mechanism outcome")
     p.add_argument("--target", choices=sorted(BUILDERS), required=True)
     p.add_argument("--from", required=True, help="source matching literal")
     p.add_argument("--check-horizon", type=_int_at_least(1), default=None)
-    p.set_defaults(fn=cmd_path)
 
-    p = sub.add_parser("validate-path", help="check a serialized path certificate")
-    common(p)
+    p = command("validate-path", cmd_validate_path, "check a serialized path certificate")
     p.add_argument("--file", required=True)
-    p.set_defaults(fn=cmd_validate_path)
 
-    p = sub.add_parser("check-set", help="internal/external stability of a set")
-    common(p)
+    p = command("check-set", cmd_check_set, "internal/external stability of a set")
     p.add_argument(
         "--set", type=_literals, required=True, help="semicolon-separated matching literals"
     )
     p.add_argument("--horizon", type=_int_at_least(1), default=None)
-    p.set_defaults(fn=cmd_check_set)
 
-    p = sub.add_parser("find-singletons", help="all singleton farsighted stable sets")
-    common(p)
+    p = command("find-singletons", cmd_find_singletons, "all singleton farsighted stable sets")
     p.add_argument("--horizon", type=_int_at_least(1), default=None)
-    p.set_defaults(fn=cmd_find_singletons)
 
-    p = sub.add_parser("find-sets", help="all farsighted stable sets of at most --max-size")
-    common(p)
+    p = command("find-sets", cmd_find_sets, "all farsighted stable sets of at most --max-size")
     p.add_argument("--max-size", type=_int_at_least(1), default=3)
-    p.set_defaults(fn=cmd_find_sets)
 
-    p = sub.add_parser("enumerate", help="count (and list) all feasible matchings")
-    common(p)
+    p = command("enumerate", cmd_enumerate, "count (and list) all feasible matchings")
     p.add_argument("--list", action="store_true")
-    p.set_defaults(fn=cmd_enumerate)
 
     return parser
 
@@ -330,16 +305,17 @@ def main(argv=None) -> int:
     if getattr(args, "depth_cap", None) is not None and args.horizon is None:
         parser.error("--depth-cap needs --horizon")
     try:
-        return args.fn(args)
+        if args.instance == "-":
+            text = sys.stdin.buffer.read().decode("utf-8-sig")
+        else:
+            text = _read(args.instance)
+        return args.fn(parse_instance(text), args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InstanceParseError, SchoolChoiceError, OSError, json.JSONDecodeError) as exc:
-        if isinstance(exc, InstanceParseError):
-            for d in exc.diagnostics:
-                print(f"error: {d}", file=sys.stderr)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
+    except (SchoolChoiceError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        for line in exc.diagnostics if isinstance(exc, InstanceParseError) else [exc]:
+            print(f"error: {line}", file=sys.stderr)
         return 2
 
 

@@ -9,6 +9,7 @@ types are immutable after construction; predicates are pure functions.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -63,16 +64,6 @@ def _count(value, least: int, name: str, other: str = "") -> int:
     return value
 
 
-def _first_positions(names: tuple) -> tuple[dict, list]:
-    """Each name's first position, and for each position the next position
-    holding the same name (len(names) if there is none)."""
-    first, after = {}, [len(names)] * len(names)
-    for k in reversed(range(len(names))):
-        after[k] = first.get(names[k], len(names))
-        first[names[k]] = k
-    return first, after
-
-
 @dataclass(frozen=True)
 class Problem:
     """A school choice problem, checked when built.
@@ -86,10 +77,11 @@ class Problem:
     The constructor raises ValidationError, whose `diagnostics` list every
     violation, unless all identifiers are distinct and can be written in a
     matching literal (non-empty, with no whitespace or comma; a school's
-    name has no `->` and is not `self` in any case), every school has a
-    quota of at least 1 and a priority order that is a permutation of the
-    students, every student has a list of distinct known schools, and no
-    quota, list or order is given for an unknown name.
+    name has no `->` and is not `self` in any case) and in an instance
+    document (no `#`, which starts a comment there), every school has an
+    integer quota of at least 1 (a bool is none) and a priority order that
+    is a permutation of the students, every student has a list of distinct
+    known schools, and no quota, list or order is given for an unknown name.
     """
 
     students: tuple[str, ...]
@@ -112,8 +104,10 @@ class Problem:
         preferences = {i: tuple(p) for i, p in self.preferences.items()}
         priorities = {s: tuple(f) for s, f in self.priorities.items()}
         n, m = len(students), len(schools)
-        sidx, after = _first_positions(students)
-        cidx, _ = _first_positions(schools)
+        # each name's first position: zipped in reverse, a repeated name's
+        # first position is the one written last
+        sidx = dict(zip(reversed(students), reversed(range(n))))
+        cidx = dict(zip(reversed(schools), reversed(range(m))))
         diags = [f"duplicate student identifier {i!r}" for k, i in enumerate(students)
                  if sidx[i] != k]
         diags += [f"duplicate school identifier {s!r}" for k, s in enumerate(schools)
@@ -121,23 +115,28 @@ class Problem:
         diags += [f"identifier {name!r} used for both a student and a school"
                   for name in sorted(sidx.keys() & cidx.keys())]
         # a matching literal writes `student->school` terms separated by
-        # commas, with `self` (any case) for staying unmatched; the names
+        # commas, with `self` (any case) for staying unmatched, and an
+        # instance document drops each line's text from a `#` on; the names
         # joined by spaces split back into the names just when none is
         # empty or holds whitespace, which spares most problems the
         # per-name checks
         names = list(dict.fromkeys(students + schools))
         text = " ".join(names)
-        if (text.split() != names or "," in text or "->" in " ".join(schools)
+        if (text.split() != names or "," in text or "#" in text or "->" in " ".join(schools)
                 or any(s.lower() == "self" for s in schools)):
             for name in names:
                 if name in cidx and name.lower() == "self":
                     diags.append(f"school {name!r} is named self, which matching literals reserve")
                 elif name.split() != [name] or "," in name or name in cidx and "->" in name:
                     diags.append(f"identifier {name!r} cannot be written in a matching literal")
+                elif "#" in name:
+                    diags.append(f"identifier {name!r} cannot be written in an instance document")
         for s in schools:
             q = quotas.get(s)
             if q is None:
                 diags.append(f"no quota given for school {s!r}")
+            elif type(q) is not int:  # type, not isinstance: a bool is no quota
+                diags.append(f"quota of school {s!r} must be an integer, not {q!r}")
             elif q < 1:
                 diags.append(f"quota of school {s!r} must be >= 1, got {q}")
         diags += [f"quota given for unknown school {s!r}" for s in quotas if s not in cidx]
@@ -163,26 +162,20 @@ class Problem:
             pref_rank.append(tuple(row))
         diags += [f"preference list for unknown student {i!r}"
                   for i in preferences if i not in sidx]
-        # a permutation has n entries and fills each student's slot once; a
-        # name repeated in the student list has one slot per occurrence, which
-        # `after` chains, so the order is compared with the list as a multiset
+        # a permutation has n entries and ranks every student; once a name
+        # repeats in the student list, the order must also hold each name as
+        # often as the list does
+        repeated = Counter(students) if len(sidx) < n else None
         prio_rank = []
         for s in schools:
             order = priorities.get(s)
             if order is None:
                 diags.append(f"no priority order for school {s!r}")
                 continue
-            row = [n] * n
-            for pos, i in enumerate(order):
-                k = sidx.get(i, n)
-                while k < n and row[k] < n:
-                    k = after[k]
-                if k == n:
-                    break
-                row[k] = pos
-            if len(order) != n or n in row:
+            row = tuple(map(dict(zip(order, range(len(order)))).get, students))
+            if len(order) != n or None in row or repeated and Counter(order) != repeated:
                 diags.append(f"priority of {s!r} is not a permutation of the students")
-            prio_rank.append(tuple(row))
+            prio_rank.append(row)
         diags += [f"priority order for unknown school {s!r}"
                   for s in priorities if s not in cidx]
         if diags:
@@ -192,7 +185,7 @@ class Problem:
             ("preferences", preferences), ("priorities", priorities),
             ("_sidx", sidx), ("_cidx", cidx),
             ("_pref_rank", tuple(pref_rank)), ("_prio_rank", tuple(prio_rank)),
-            ("_quota_vec", tuple(int(quotas[s]) for s in schools)),
+            ("_quota_vec", tuple(quotas[s] for s in schools)),
             # what an assignment-vector entry stands for: a school, or m for SELF
             ("_options", schools + (SELF,)),
         ):

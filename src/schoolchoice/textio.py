@@ -43,89 +43,71 @@ class InstanceParseError(SchoolChoiceError):
         super().__init__("; ".join(self.diagnostics))
 
 
-_SECTIONS = ("students", "schools", "quota", "pref", "priority")
+def _names(text: str) -> tuple:
+    return tuple(text.split())
+
+
+#: The sections in file order.  A line belongs to the first section whose
+#: prefix it starts with.  A header section (no pattern) lists names after
+#: its colon; a keyed section's line fits its pattern, whose groups are the
+#: key and a value the reader turns into the entry, and its repeated keys
+#: are reported with its noun.
+_SECTIONS = (
+    ("students", "students:", None, None, None),
+    ("schools", "schools:", None, None, None),
+    ("quota", "quota", re.compile(r"quota\s+(\S+)\s*=\s*(-?\d+)"), int, "quota"),
+    ("pref", "pref", re.compile(r"pref\s+(\S+)\s*:(.*)"), _names, "pref line"),
+    ("priority", "priority", re.compile(r"priority\s+(\S+)\s*:(.*)"), _names, "priority line"),
+)
 
 
 def parse_instance(text: str) -> Problem:
     """Parse an instance document; raises InstanceParseError on any defect."""
     diags: list[str] = []
-    students: list[str] = []
-    schools: list[str] = []
-    quotas: dict = {}
-    prefs: dict = {}
-    prios: dict = {}
-    stage = -1  # index into _SECTIONS of the last section seen
-
-    def advance(kind: str, lineno: int) -> None:
-        nonlocal stage
-        want = _SECTIONS.index(kind)
-        if want < stage:
-            diags.append(
-                f"line {lineno}: {kind} section out of order "
-                f"(expected {_SECTIONS[stage]} lines or later sections)"
-            )
-        stage = max(stage, want)
-
+    found: dict = {name: () if pattern is None else {}
+                   for name, _, pattern, _, _ in _SECTIONS}
+    stage = 0  # index into _SECTIONS of the last section seen
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("students:"):
-            advance("students", lineno)
-            if students:
-                diags.append(f"line {lineno}: duplicate students section")
-            students = line[len("students:"):].split()
-            if not students:
-                diags.append(f"line {lineno}: students section is empty")
-        elif line.startswith("schools:"):
-            advance("schools", lineno)
-            if schools:
-                diags.append(f"line {lineno}: duplicate schools section")
-            schools = line[len("schools:"):].split()
-            if not schools:
-                diags.append(f"line {lineno}: schools section is empty")
-        elif line.startswith("quota"):
-            advance("quota", lineno)
-            m = re.fullmatch(r"quota\s+(\S+)\s*=\s*(-?\d+)", line)
-            if not m:
-                diags.append(f"line {lineno}: malformed quota line {line!r}")
-                continue
-            s, q = m.group(1), int(m.group(2))
-            if s in quotas:
-                diags.append(f"line {lineno}: duplicate quota for {s!r}")
-            quotas[s] = q
-        elif line.startswith("pref"):
-            advance("pref", lineno)
-            m = re.fullmatch(r"pref\s+(\S+)\s*:(.*)", line)
-            if not m:
-                diags.append(f"line {lineno}: malformed pref line {line!r}")
-                continue
-            i = m.group(1)
-            if i in prefs:
-                diags.append(f"line {lineno}: duplicate pref line for {i!r}")
-            prefs[i] = tuple(m.group(2).split())
-        elif line.startswith("priority"):
-            advance("priority", lineno)
-            m = re.fullmatch(r"priority\s+(\S+)\s*:(.*)", line)
-            if not m:
-                diags.append(f"line {lineno}: malformed priority line {line!r}")
-                continue
-            s = m.group(1)
-            if s in prios:
-                diags.append(f"line {lineno}: duplicate priority line for {s!r}")
-            prios[s] = tuple(m.group(2).split())
+        for at, section in enumerate(_SECTIONS):
+            if line.startswith(section[1]):
+                break
         else:
             diags.append(f"line {lineno}: unrecognised line {line!r}")
-    if not students:
-        diags.append("missing students section")
-    if not schools:
-        diags.append("missing schools section")
+            continue
+        name, prefix, pattern, reader, noun = section
+        if at < stage:
+            diags.append(
+                f"line {lineno}: {name} section out of order "
+                f"(expected {_SECTIONS[stage][0]} lines or later sections)"
+            )
+        stage = max(stage, at)
+        if pattern is None:
+            if found[name]:
+                diags.append(f"line {lineno}: duplicate {name} section")
+            found[name] = _names(line[len(prefix):])
+            if not found[name]:
+                diags.append(f"line {lineno}: {name} section is empty")
+            continue
+        m = pattern.fullmatch(line)
+        if not m:
+            diags.append(f"line {lineno}: malformed {name} line {line!r}")
+            continue
+        key, value = m.groups()
+        entries = found[name]
+        if key in entries:
+            diags.append(f"line {lineno}: duplicate {noun} for {key!r}")
+        entries[key] = reader(value)
+    diags += [f"missing {name} section" for name in ("students", "schools") if not found[name]]
     if diags:
         raise InstanceParseError(diags)
+    students, schools, quotas, prefs, prios = found.values()
     for i in students:
         prefs.setdefault(i, ())
     try:
-        return Problem(tuple(students), tuple(schools), quotas, prefs, prios)
+        return Problem(students, schools, quotas, prefs, prios)
     except ValidationError as exc:
         raise InstanceParseError(exc.diagnostics) from None
 

@@ -570,6 +570,44 @@ class TestInstanceLoad:
         assert expected[0] in (0, 1) and expected[1]
 
 
+class TestEncoding:
+    BOM = "\ufeff"
+
+    @pytest.mark.parametrize("via_stdin", [False, True], ids=["file", "stdin"])
+    def test_byte_order_mark_on_the_instance(self, via_stdin, instance_file, tmp_path,
+                                             capsys, monkeypatch):
+        assert main(["solve", instance_file, "--mechanism", "ttc"]) == 0
+        expected = capsys.readouterr()
+        data = (self.BOM + TRADING_INSTANCE).encode("utf-8")
+        if via_stdin:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            path = "-"
+        else:
+            path = tmp_path / "bom.instance"
+            path.write_bytes(data)
+        assert main(["solve", str(path), "--mechanism", "ttc"]) == 0
+        assert capsys.readouterr() == expected
+
+    def test_byte_order_mark_on_the_certificate(self, instance_file, tmp_path, capsys):
+        problem = parse_instance(TRADING_INSTANCE)
+        cert = dump_certificate(build_path_to_ttc(problem, parse_matching(problem, START)))
+        cert_file = tmp_path / "certificate.json"
+        cert_file.write_bytes((self.BOM + cert).encode("utf-8"))
+        code = main(["validate-path", instance_file, "--file", str(cert_file)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (0, "valid\n", "")
+
+    def test_undecodable_instance_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.instance"
+        bad.write_bytes(TRADING_INSTANCE.replace("i4", "\xe94").encode("latin-1"))
+        code = main(["solve", str(bad), "--mechanism", "ttc"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+        assert captured.err.count("\n") == 1
+
+
 class TestCertificateSerialization:
     def test_round_trip(self):
         problem = parse_instance(TRADING_INSTANCE)

@@ -78,6 +78,32 @@ class TestValidateProblem:
             Problem(("i1",), ("s1",), {"s1": 0}, {"i1": ("s1",)}, {"s1": ("i1",)})
         assert any("must be >= 1" in d for d in err.value.diagnostics)
 
+    @pytest.mark.parametrize("quota, diagnostic", [
+        (1.5, "quota of school 's1' must be an integer, not 1.5"),
+        (2.0, "quota of school 's1' must be an integer, not 2.0"),
+        (True, "quota of school 's1' must be an integer, not True"),
+        (False, "quota of school 's1' must be an integer, not False"),
+        ("2", "quota of school 's1' must be an integer, not '2'"),
+        (None, "no quota given for school 's1'"),
+    ])
+    def test_quota_must_be_an_integer(self, quota, diagnostic):
+        # a float quota once built and then broke the mechanisms
+        with pytest.raises(ValidationError) as err:
+            Problem(("i1", "i2"), ("s1",), {"s1": quota},
+                    {"i1": ("s1",), "i2": ("s1",)}, {"s1": ("i1", "i2")})
+        assert err.value.diagnostics == [diagnostic]
+
+    def test_hash_in_a_name(self):
+        # an instance document drops a line's text from `#` on, so such a
+        # name would not read back
+        with pytest.raises(ValidationError) as err:
+            Problem(("i#1", "i2"), ("s#",), {"s#": 1},
+                    {"i#1": ("s#",), "i2": ()}, {"s#": ("i2", "i#1")})
+        assert err.value.diagnostics == [
+            "identifier 'i#1' cannot be written in an instance document",
+            "identifier 's#' cannot be written in an instance document",
+        ]
+
     def test_duplicate_preference_entry(self):
         with pytest.raises(ValidationError) as err:
             Problem(("i1",), ("s1",), {"s1": 1}, {"i1": ("s1", "s1")}, {"s1": ("i1",)})
