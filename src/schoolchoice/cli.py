@@ -3,9 +3,9 @@
 Every subcommand reads an instance file, which `main` loads and checks
 before the subcommand runs, and writes a deterministic report to standard
 output, as text or JSON.  Input files are read as UTF-8, a leading
-byte-order mark dropped.  Exit codes: 0 success, 1 negative
-verdict on a boolean query (unstable set, invalid path, unstable matching),
-2 malformed input, 3 an exhaustive computation exceeded its cap.
+byte-order mark dropped.  Exit codes: 0 success, 1 negative verdict on a
+boolean query (unstable set, invalid path, unstable matching), 2 malformed
+input, 3 an exhaustive computation exceeded its cap.
 """
 from __future__ import annotations
 

@@ -47,11 +47,11 @@ def _names(text: str) -> tuple:
     return tuple(text.split())
 
 
-#: The sections in file order.  A line belongs to the first section whose
-#: prefix it starts with.  A header section (no pattern) lists names after
-#: its colon; a keyed section's line fits its pattern, whose groups are the
-#: key and a value the reader turns into the entry, and its repeated keys
-#: are reported with its noun.
+#: The sections in file order.  A line belongs to the section whose prefix
+#: it starts with.  A header section (no pattern) lists names after its
+#: colon; a keyed section's line fits its pattern, whose groups are the key
+#: and a value the reader turns into the entry, and its repeated keys are
+#: reported with its noun.
 _SECTIONS = (
     ("students", "students:", None, None, None),
     ("schools", "schools:", None, None, None),
@@ -59,6 +59,8 @@ _SECTIONS = (
     ("pref", "pref", re.compile(r"pref\s+(\S+)\s*:(.*)"), _names, "pref line"),
     ("priority", "priority", re.compile(r"priority\s+(\S+)\s*:(.*)"), _names, "priority line"),
 )
+#: Matches a line's section prefix; group k + 1 holds section k's.
+_PREFIX = re.compile("|".join(f"({re.escape(prefix)})" for _, prefix, _, _, _ in _SECTIONS))
 
 
 def parse_instance(text: str) -> Problem:
@@ -71,13 +73,12 @@ def parse_instance(text: str) -> Problem:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        for at, section in enumerate(_SECTIONS):
-            if line.startswith(section[1]):
-                break
-        else:
+        head = _PREFIX.match(line)
+        if head is None:
             diags.append(f"line {lineno}: unrecognised line {line!r}")
             continue
-        name, prefix, pattern, reader, noun = section
+        at = head.lastindex - 1
+        name, prefix, pattern, reader, noun = _SECTIONS[at]
         if at < stage:
             diags.append(
                 f"line {lineno}: {name} section out of order "
