@@ -375,6 +375,14 @@ class TestCommands:
         assert code == 0
         assert out == ["i1->s1, i2->s1, i3->s2, i4->s3"]
 
+    def test_find_sets_without_a_size(self, instance_file, capsys):
+        # {TTC} is the only farsighted stable set of the trading instance
+        ttc = "i1->s1, i2->s1, i3->s2, i4->s3"
+        assert main(["find-sets", instance_file]) == 0
+        assert capsys.readouterr().out == ttc + "\n"
+        assert main(["find-sets", instance_file, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"stable_sets": [[ttc]]}
+
     def test_enumerate(self, instance_file, capsys):
         code = main(["enumerate", instance_file])
         assert code == 0
