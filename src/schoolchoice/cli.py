@@ -198,7 +198,7 @@ def cmd_find_singletons(problem, args) -> int:
 
 
 def cmd_find_sets(problem, args) -> int:
-    found = find_stable_sets(problem, max_size=args.max_size)
+    found = find_stable_sets(problem)
     lines = []
     for group in found:
         lines.append("; ".join(mu.literal() for mu in group))
@@ -290,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("find-singletons", cmd_find_singletons, "all singleton farsighted stable sets")
     p.add_argument("--horizon", type=_int_at_least(1), default=None)
 
-    p = command("find-sets", cmd_find_sets, "all farsighted stable sets of at most --max-size")
-    p.add_argument("--max-size", type=_int_at_least(1), default=3)
+    command("find-sets", cmd_find_sets, "all farsighted stable sets")
 
     p = command("enumerate", cmd_enumerate, "count (and list) all feasible matchings")
     p.add_argument("--list", action="store_true")

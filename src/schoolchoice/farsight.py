@@ -95,8 +95,9 @@ FARSIGHTED = "farsighted"
 #: Default depth cap for the horizon-k path search.
 DEFAULT_DEPTH_CAP = 12
 
-#: Default cap on the matchings a search enumerates; enumeration on its own
-#: allows `model.DEFAULT_ENUMERATION_CAP` (10**7).
+#: Cap on the matchings a search enumerates when given no universe;
+#: enumeration on its own allows `model.DEFAULT_ENUMERATION_CAP` (10**7).
+#: For another cap, pass `universe=enumerate_matchings(problem, cap=N)`.
 DEFAULT_SEARCH_CAP = 10**5
 
 #: Node budget of the horizon-k depth-first search and of the stable-set
@@ -586,14 +587,6 @@ def validate_path_horizon(problem: Problem, cert: PathCertificate) -> PathViolat
 # Reachability search (full farsightedness)
 # --------------------------------------------------------------------------
 
-def _universe(problem: Problem, universe, cap) -> list[Matching]:
-    """The search's universe; cap is checked even when a universe is given."""
-    _count(cap, 1, "cap")
-    if universe is None:
-        return enumerate_matchings(problem, cap=cap)
-    return list(universe)
-
-
 def _lookahead(horizon) -> int | None:
     """The moves a horizon looks ahead: None for FARSIGHTED, else an int k >= 1."""
     return None if horizon == FARSIGHTED else _count(horizon, 1, "horizon", f"{FARSIGHTED!r} or ")
@@ -604,6 +597,15 @@ def _index(oracle: _EdgeOracle, mu: Matching) -> int:
     if getattr(mu, "_assign", None) not in oracle.index:
         raise ValueError("matching not in the enumerated universe")
     return oracle.index[mu._assign]
+
+
+def _space(problem: Problem, universe) -> tuple[list[Matching], _EdgeOracle]:
+    """A search's universe, every matching up to `DEFAULT_SEARCH_CAP` unless
+    one is given, and its oracle."""
+    if universe is None:
+        universe = enumerate_matchings(problem, cap=DEFAULT_SEARCH_CAP)
+    uni = list(universe)
+    return uni, _oracle(problem, uni)
 
 
 def _oracle(problem: Problem, uni: Sequence[Matching]) -> _EdgeOracle:
@@ -624,11 +626,9 @@ def phi(
     problem: Problem,
     mu: Matching,
     universe: Sequence[Matching] | None = None,
-    cap: int = DEFAULT_SEARCH_CAP,
 ) -> set[Matching]:
     """All matchings reachable from mu by a farsighted improving path."""
-    uni = _universe(problem, universe, cap)
-    oracle = _oracle(problem, uni)
+    uni, oracle = _space(problem, universe)
     src = _index(oracle, mu)
     return {
         target for t, target in enumerate(uni)
@@ -639,11 +639,10 @@ def phi(
 def reachability_matrix(
     problem: Problem,
     universe: Sequence[Matching] | None = None,
-    cap: int = DEFAULT_SEARCH_CAP,
 ) -> tuple[list[int], list[Matching]]:
     """Rows R as int bitsets, R[x] >> t & 1 iff target t is in phi(x); and U."""
-    uni = _universe(problem, universe, cap)
-    return _transpose(_reach_columns(_oracle(problem, uni), range(len(uni)), None, None)[0]), uni
+    uni, oracle = _space(problem, universe)
+    return _transpose(_reach_columns(oracle, range(len(uni)), None, None)[0]), uni
 
 
 def _transpose(cols: list[int]) -> list[int]:
@@ -668,7 +667,6 @@ def phi_horizon(
     k: int,
     depth_cap: int | None = None,
     universe: Sequence[Matching] | None = None,
-    cap: int = DEFAULT_SEARCH_CAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> HorizonResult:
     """Matchings reachable by a horizon-k improving path of length <= depth_cap.
@@ -683,8 +681,7 @@ def phi_horizon(
         raise ValueError("phi_horizon needs an integer horizon; phi is full lookahead")
     _count(0 if depth_cap is None else depth_cap, 0, "depth_cap", "None or ")
     _count(node_budget, 1, "node_budget")
-    uni = _universe(problem, universe, cap)
-    oracle = _oracle(problem, uni)
+    uni, oracle = _space(problem, universe)
     reachable, partial = _phi_horizon(oracle, _index(oracle, mu), k, depth_cap, node_budget)
     return HorizonResult(reachable={uni[t] for t in _members(reachable)}, partial=partial)
 
@@ -815,7 +812,6 @@ def check_stable_set(
     candidate: Iterable[Matching],
     horizon=FARSIGHTED,
     universe: Sequence[Matching] | None = None,
-    cap: int = DEFAULT_SEARCH_CAP,
     depth_cap: int | None = None,
 ) -> StableSetReport:
     """Internal/external stability report for a candidate set of matchings.
@@ -834,8 +830,7 @@ def check_stable_set(
     _count(0 if depth_cap is None else depth_cap, 0, "depth_cap", "None or ")
     if k is None and depth_cap is not None:
         raise ValueError("a depth cap needs a horizon")
-    uni = _universe(problem, universe, cap)
-    oracle = _oracle(problem, uni)
+    uni, oracle = _space(problem, universe)
     idx = [_index(oracle, mu) for mu in cand]
     cols, cut = _reach_columns(oracle, idx, k, depth_cap)
     internal = [(a, b) for a in idx for b, col in zip(idx, cols) if a != b and col >> a & 1]
@@ -862,24 +857,20 @@ def find_singleton_stable_sets(
     problem: Problem,
     horizon=FARSIGHTED,
     universe: Sequence[Matching] | None = None,
-    cap: int = DEFAULT_SEARCH_CAP,
 ) -> list[Matching]:
     """All matchings mu with {mu} a (horizon-k) farsighted stable set: those
     that every other matching has a path into."""
     k = _lookahead(horizon)
-    uni = _universe(problem, universe, cap)
-    oracle = _oracle(problem, uni)
+    uni, oracle = _space(problem, universe)
     cols, _ = _reach_columns(oracle, range(len(uni)), k, None)
     return sort_matchings(mu for t, mu in enumerate(uni) if cols[t] == oracle.all & ~(1 << t))
 
 
 def find_stable_sets(
     problem: Problem,
-    max_size: int = 3,
     universe: Sequence[Matching] | None = None,
-    cap: int = DEFAULT_SEARCH_CAP,
 ) -> list[list[Matching]]:
-    """All farsighted stable sets of at most max_size matchings.
+    """All farsighted stable sets, of any size.
 
     A stable set is a kernel of the digraph x -> y iff y is in phi(x): no
     member reaches another, and every other matching reaches a member.  A
@@ -887,14 +878,13 @@ def find_stable_sets(
     a member puts out every matching it reaches and every one that reaches
     it; an outsider with one possible target left forces that target in;
     an undecided matching whose targets are all out must be in.  Only when
-    none applies does it branch, on the first undecided matching.  A branch
-    with more than max_size members is pruned.  Sets list their members in
-    literal order, and come by size, then by those positions.  A search
-    that needs more than `DEFAULT_NODE_BUDGET` nodes raises CapacityError.
+    none applies does it branch, on the first undecided matching.  Sets
+    list their members in literal order, and come by size, then by those
+    positions.  A search that needs more than `DEFAULT_NODE_BUDGET` nodes
+    raises CapacityError.
     """
-    _count(max_size, 1, "max_size")
-    uni = _universe(problem, universe, cap)
-    cols, _ = _reach_columns(_oracle(problem, uni), range(len(uni)), None, None)
+    uni, oracle = _space(problem, universe)
+    cols, _ = _reach_columns(oracle, range(len(uni)), None, None)
     rows = _transpose(cols)
     everyone = (1 << len(uni)) - 1
 
@@ -909,7 +899,7 @@ def find_stable_sets(
         if budget < 0:
             raise CapacityError(f"the stable-set search needs over {DEFAULT_NODE_BUDGET} nodes")
         state = stack.pop()
-        while state[0].bit_count() <= max_size:
+        while True:
             inset, out, covered = state
             free = everyone & ~inset & ~out
             left = [rows[x] & free for x in _members(out & ~covered)]  # possible targets

@@ -448,11 +448,10 @@ def is_pareto_efficient(
     problem: Problem,
     mu: Matching,
     universe: Sequence[Matching] | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> bool:
-    """Exhaustive check that no feasible matching Pareto dominates mu."""
+    """Exhaustive check that no feasible matching (of universe, if given) Pareto dominates mu."""
     if universe is None:
-        universe = iter_matchings(problem, cap=cap)
+        universe = iter_matchings(problem)
     for other in universe:
         if pareto_dominates(problem, other, mu):
             return False

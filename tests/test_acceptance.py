@@ -128,9 +128,7 @@ def test_criterion_3_stable_set_verdicts(
     repB = check_stable_set(trading_instance, [muB], universe=trading_universe)
     assert repB.verdict == "unstable" and repB.external_violations
     # {TTC} is the only stable set of any size
-    every = find_stable_sets(
-        trading_instance, max_size=len(trading_universe), universe=trading_universe
-    )
+    every = find_stable_sets(trading_instance, universe=trading_universe)
     assert every == [[muT]]
     singles = find_singleton_stable_sets(trading_instance, universe=trading_universe)
     assert singles == [muT]
@@ -235,9 +233,7 @@ def test_criterion_8_negative_results_reproduced(
     # the stable deferred-acceptance outcome belongs to no farsighted stable
     # set of any size
     assert is_stable(trading_instance, muD)
-    every = find_stable_sets(
-        trading_instance, max_size=len(trading_universe), universe=trading_universe
-    )
+    every = find_stable_sets(trading_instance, universe=trading_universe)
     assert every and all(muD not in group for group in every)
     # the immediate-acceptance outcome is efficient yet equally excluded
     assert is_pareto_efficient(trading_instance, muB, universe=trading_universe)

@@ -370,7 +370,7 @@ class TestCommands:
         assert out == "i1->s1, i2->s1, i3->s2, i4->s3"
 
     def test_find_sets(self, instance_file, capsys):
-        code = main(["find-sets", instance_file, "--max-size", "2"])
+        code = main(["find-sets", instance_file])
         out = capsys.readouterr().out.strip().splitlines()
         assert code == 0
         assert out == ["i1->s1, i2->s1, i3->s2, i4->s3"]
@@ -462,7 +462,7 @@ class TestCommands:
     def test_cut_stable_set_search_exits_3(self, instance_file, capsys, monkeypatch):
         # a cut search prints no list, not even a partial one
         monkeypatch.setattr(farsight, "DEFAULT_NODE_BUDGET", 1)
-        code = main(["find-sets", instance_file, "--max-size", "2"])
+        code = main(["find-sets", instance_file])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == "" and "stable-set search" in captured.err
@@ -527,7 +527,7 @@ SUBCOMMANDS = [
     ["validate-path", "--file", "CERT"],
     ["check-set", "--set", START],
     ["find-singletons"],
-    ["find-sets", "--max-size", "1"],
+    ["find-sets"],
     ["enumerate"],
 ]
 

@@ -20,7 +20,6 @@ from schoolchoice import (
     find_singleton_stable_sets,
     find_stable_sets,
     is_individually_rational,
-    is_pareto_efficient,
     phi,
     phi_horizon,
     reachability_matrix,
@@ -643,9 +642,8 @@ class TestStableSets:
     ):
         # {TTC} is the only stable set of any size, so the DA and IA
         # outcomes are in none
-        for size in (1, 2, 3, len(trading_universe)):
-            found = find_stable_sets(trading_instance, max_size=size, universe=trading_universe)
-            assert found == [[trading_goldens["ttc"]]], size
+        found = find_stable_sets(trading_instance, universe=trading_universe)
+        assert found == [[trading_goldens["ttc"]]]
 
     def test_cut_search_raises_rather_than_lists(
         self, trading_instance, trading_universe, monkeypatch
@@ -653,7 +651,7 @@ class TestStableSets:
         # the search needs more than one node here
         monkeypatch.setattr(farsight, "DEFAULT_NODE_BUDGET", 1)
         with pytest.raises(CapacityError, match="stable-set search"):
-            find_stable_sets(trading_instance, max_size=3, universe=trading_universe)
+            find_stable_sets(trading_instance, universe=trading_universe)
 
     def test_candidate_outside_the_universe_rejected(
         self, trading_instance, trading_goldens, trading_universe
@@ -665,8 +663,8 @@ class TestStableSets:
                 check_stable_set(trading_instance, [ttc], horizon=horizon, universe=rest)
 
     def test_search_matches_the_subset_lattice(self):
-        # every size up to three on instances of at most 40 matchings, and
-        # every size at all on instances of at most 12
+        # the sets of every size up to three on instances of at most 40
+        # matchings, and of every size at all on instances of at most 12
         rng = random.Random(1801)
         cases = several = 0
         while cases < 300:
@@ -675,10 +673,11 @@ class TestStableSets:
             if len(uni) > 40:
                 continue
             cases += 1
+            found = find_stable_sets(p, universe=uni)
             sizes = (1, 2, 3, len(uni)) if len(uni) <= 12 else (1, 2, 3)
             for size in sizes:
                 want = lattice_stable_sets(p, uni, size)
-                assert find_stable_sets(p, max_size=size, universe=uni) == want, size
+                assert [s for s in found if len(s) <= size] == want, size
                 several += len(want) > 1
         assert several  # the order among several sets is checked too
 
@@ -699,7 +698,7 @@ class TestRefusedArguments:
             "phi_horizon": lambda: phi_horizon(p, ttc, 2, universe=u[:1] + u),
             "check_stable_set": lambda: check_stable_set(p, [ttc], universe=u + u[:5]),
             "reachability_matrix": lambda: reachability_matrix(p, universe=u + u[-1:]),
-            "find_stable_sets": lambda: find_stable_sets(p, max_size=2, universe=u + u[:3]),
+            "find_stable_sets": lambda: find_stable_sets(p, universe=u + u[:3]),
         }
         check_stable_set(p, [ttc], universe=u)  # a shared oracle for u is no excuse
         with pytest.raises(ValueError, match="repeats a matching"):
@@ -721,37 +720,18 @@ class TestRefusedArguments:
                           universe=trading_universe)
         assert not res.reachable and res.partial
 
-    @pytest.mark.parametrize("size", [0, -1, 1.5, True, None])
-    def test_max_size_is_a_positive_count(self, trading_instance, trading_universe, size):
-        # 0 listed no set without a word, and 1.5 was taken
-        with pytest.raises(ValueError, match="max_size must be an integer >= 1"):
-            find_stable_sets(trading_instance, max_size=size, universe=trading_universe)
-
     @pytest.mark.parametrize("value", [0, -3, 0.5, 1.5, True, None])
     def test_cap_and_node_budget_are_positive_counts(
         self, trading_instance, trading_goldens, trading_universe, value
     ):
         # a node budget of 1.5 reached what 2 did, and cap=True raised
-        # "more than True matchings"; cap is checked even beside a universe
-        p, da, u = trading_instance, trading_goldens["da"], trading_universe
+        # "more than True matchings"
+        p, u = trading_instance, trading_universe
         start = matching_of(p, i1="s1", i2="s1", i3="s2", i4="self")
         with pytest.raises(ValueError, match="node_budget must be an integer >= 1"):
             phi_horizon(p, start, 3, depth_cap=3, universe=u, node_budget=value)
-        calls = [
-            lambda: phi(p, da, universe=u, cap=value),
-            lambda: phi_horizon(p, da, 3, universe=u, cap=value),
-            lambda: check_stable_set(p, [da], universe=u, cap=value),
-            lambda: check_stable_set(p, [da], horizon=3, universe=u, cap=value),
-            lambda: reachability_matrix(p, universe=u, cap=value),
-            lambda: find_singleton_stable_sets(p, universe=u, cap=value),
-            lambda: find_stable_sets(p, universe=u, cap=value),
-            lambda: check_stable_set(p, [da], cap=value),
-            lambda: enumerate_matchings(p, cap=value),
-            lambda: is_pareto_efficient(p, da, cap=value),
-        ]
-        for call in calls:
-            with pytest.raises(ValueError, match="^cap must be an integer >= 1"):
-                call()
+        with pytest.raises(ValueError, match="^cap must be an integer >= 1"):
+            enumerate_matchings(p, cap=value)
 
 
 def lattice_stable_sets(problem, uni, max_size):
@@ -1051,7 +1031,7 @@ class TestEdgeKernel:
         da, ttc = trading_goldens["da"], trading_goldens["ttc"]
         assert phi(p, da, universe=uni) == {ttc}
         assert check_stable_set(p, [da], universe=uni).verdict == "unstable"
-        assert find_stable_sets(p, max_size=len(uni), universe=uni) == [[ttc]]
+        assert find_stable_sets(p, universe=uni) == [[ttc]]
 
     def test_search_leaves_numpy_unimported(self):
         script = (
@@ -1287,7 +1267,7 @@ class TestSharedOracle:
         for search in searches(p, list(universe)):
             search()
         phi(p, run_da(p))
-        find_stable_sets(p, max_size=2)
+        find_stable_sets(p)
         assert len(built) == 1
 
     def test_interleaved_problems_match_fresh_oracles(self, monkeypatch):
