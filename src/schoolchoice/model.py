@@ -78,10 +78,11 @@ class Problem:
     violation, unless all identifiers are distinct and can be written in a
     matching literal (non-empty, with no whitespace or comma; a school's
     name has no `->` and is not `self` in any case) and in an instance
-    document (no `#`, which starts a comment there), every school has an
-    integer quota of at least 1 (a bool is none) and a priority order that
-    is a permutation of the students, every student has a list of distinct
-    known schools, and no quota, list or order is given for an unknown name.
+    document (no `#`, which starts a comment there, and no leading `:`,
+    which would end a keyed line's key), every school has an integer quota
+    of at least 1 (a bool is none) and a priority order that is a
+    permutation of the students, every student has a list of distinct known
+    schools, and no quota, list or order is given for an unknown name.
     """
 
     students: tuple[str, ...]
@@ -115,21 +116,21 @@ class Problem:
         diags += [f"identifier {name!r} used for both a student and a school"
                   for name in sorted(sidx.keys() & cidx.keys())]
         # a matching literal writes `student->school` terms separated by
-        # commas, with `self` (any case) for staying unmatched, and an
-        # instance document drops each line's text from a `#` on; the names
-        # joined by spaces split back into the names just when none is
-        # empty or holds whitespace, which spares most problems the
-        # per-name checks
+        # commas, with `self` (any case) for staying unmatched; an instance
+        # document drops each line's text from a `#` on, and a name that
+        # starts with `:` would end a keyed line's key; the names joined by
+        # spaces split back into the names just when none is empty or holds
+        # whitespace, which spares most problems the per-name checks
         names = list(dict.fromkeys(students + schools))
         text = " ".join(names)
-        if (text.split() != names or "," in text or "#" in text or "->" in " ".join(schools)
-                or any(s.lower() == "self" for s in schools)):
+        if (text.split() != names or "," in text or "#" in text or " :" in f" {text}"
+                or "->" in " ".join(schools) or any(s.lower() == "self" for s in schools)):
             for name in names:
                 if name in cidx and name.lower() == "self":
                     diags.append(f"school {name!r} is named self, which matching literals reserve")
                 elif name.split() != [name] or "," in name or name in cidx and "->" in name:
                     diags.append(f"identifier {name!r} cannot be written in a matching literal")
-                elif "#" in name:
+                elif "#" in name or name.startswith(":"):
                     diags.append(f"identifier {name!r} cannot be written in an instance document")
         for s in schools:
             q = quotas.get(s)

@@ -16,7 +16,7 @@ from schoolchoice.textio import (
     parse_matching,
     serialize_instance,
 )
-from schoolchoice import SELF, Matching, ValidationError, build_path_to_ttc, farsight
+from schoolchoice import SELF, Matching, Problem, ValidationError, build_path_to_ttc, farsight
 
 from conftest import random_problem
 
@@ -103,6 +103,25 @@ class TestInstanceFormat:
         assert err.value.diagnostics == [
             "identifier 's,2' cannot be written in a matching literal",
             "school 'Self' is named self, which matching literals reserve",
+        ]
+
+    @pytest.mark.parametrize("students, schools, refused", [
+        (("i1",), (":s",), ":s"),  # `pref i1: :s` read back as a line of 'i1:'
+        ((":i", "i2"), ("s1",), ":i"),  # `priority s1: :i i2` as a row of 's1:'
+        (("a:b", "i2"), ("s1",), None),
+        (("i1",), ("s:",), None),
+    ], ids=["school", "student", "inner-colon", "trailing-colon"])
+    def test_leading_colon_in_a_name(self, students, schools, refused):
+        args = (students, schools, dict.fromkeys(schools, 1),
+                dict.fromkeys(students, schools), dict.fromkeys(schools, students))
+        if refused is None:
+            problem = Problem(*args)
+            assert parse_instance(serialize_instance(problem)) == problem
+            return
+        with pytest.raises(ValidationError) as err:
+            Problem(*args)
+        assert err.value.diagnostics == [
+            f"identifier {refused!r} cannot be written in an instance document"
         ]
 
 
