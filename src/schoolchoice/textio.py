@@ -295,31 +295,24 @@ def trace_to_dict(trace: MechanismTrace) -> dict:
 
 
 def trace_to_text(trace: MechanismTrace) -> str:
+    """The record of `trace_to_dict`, one line per fact."""
     lines = []
-    for st in trace.steps:
-        caps = " ".join(f"{s}={q}" for s, q in sorted(st.capacities.items()))
-        lines.append(f"step {st.step} (capacity {caps})")
-        for r in st.clinch_rounds:
-            if r.clinches:
-                terms = ", ".join(f"{i}->{s}" for i, s in r.clinches)
-                lines.append(f"  clinch round {r.round}: {terms}")
-        if st.excluded:
-            lines.append("  held back from clinching: " + " ".join(st.excluded))
-        if st.pairs:
-            lines.append(
-                "  seat endowments: " + " ".join("(%s,%s)" % p for p in st.pairs)
-            )
-            for cyc in st.pair_cycles:
-                lines.append(
-                    "  seat cycle: " + " -> ".join("(%s,%s)" % p for p in cyc)
-                )
-        for c in st.cycles:
-            lines.append(f"  cycle {c}")
-        if st.matches:
-            terms = ", ".join(
-                f"{i}->{'self' if a is SELF else a}" for i, a in sorted(st.matches.items())
-            )
-            lines.append(f"  matched: {terms}")
+    for st in trace_to_dict(trace)["steps"]:
+        caps = " ".join(f"{s}={q}" for s, q in sorted(st["capacities"].items()))
+        lines.append(f"step {st['step']} (capacity {caps})")
+        for r in st.get("clinch_rounds", ()):
+            if r["clinches"]:
+                terms = ", ".join(f"{i}->{s}" for i, s in r["clinches"])
+                lines.append(f"  clinch round {r['round']}: {terms}")
+        if "held_back" in st:
+            lines.append("  held back from clinching: " + " ".join(st["held_back"]))
+        if "seat_endowments" in st:
+            pairs = " ".join(f"({i},{s})" for i, s in st["seat_endowments"])
+            lines.append(f"  seat endowments: {pairs}")
+            lines += ["  seat cycle: " + " -> ".join(cyc) for cyc in st["seat_cycles"]]
+        lines += [f"  cycle {c}" for c in st["cycles"]]
+        if st["matches"]:
+            lines.append("  matched: " + ", ".join(f"{i}->{a}" for i, a in st["matches"].items()))
     return "\n".join(lines)
 
 
