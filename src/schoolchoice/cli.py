@@ -10,6 +10,7 @@ input, 3 an exhaustive computation exceeded its cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -246,6 +247,7 @@ def _literals(text: str) -> list[str]:
     return literals
 
 
+@functools.cache  # built on the first call; parse_args does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schoolchoice",

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import random
@@ -401,6 +402,20 @@ class TestCommands:
         assert capsys.readouterr().out == ttc + "\n"
         assert main(["find-sets", instance_file, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out) == {"stable_sets": [[ttc]]}
+
+    def test_second_call_builds_no_parser(self, instance_file, capsys, monkeypatch):
+        main(["enumerate", instance_file])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["enumerate", instance_file]) == 0
+        assert capsys.readouterr().out == "115\n115\n"
+        assert not built
 
     def test_enumerate(self, instance_file, capsys):
         code = main(["enumerate", instance_file])
