@@ -78,12 +78,6 @@ class Cycle:
             out[self.members[pos]] = self.members[(pos + 1) % k]
         return out
 
-    def inbound(self) -> dict:
-        """Student -> the school pointing at her within the cycle."""
-        if self.is_self_cycle:
-            return {}
-        return {self.members[pos]: self.members[pos - 1] for pos in range(1, len(self.members), 2)}
-
     def __str__(self):
         return "(" + ",".join(self.members) + ")"
 

@@ -252,7 +252,7 @@ class Matching:
             if i not in assignment:
                 raise ValidationError(f"student {i!r} missing from assignment")
             a = assignment[i]
-            k = m if a is SELF or a is None else cidx.get(a)
+            k = m if a is SELF else cidx.get(a)
             if k is None:
                 raise ValidationError(f"student {i!r} assigned to unknown school {a!r}")
             counts[k] += 1
@@ -305,7 +305,7 @@ class Matching:
         entered = set()
         for i, a in changes.items():
             x = sidx.get(i)
-            k = m if a is SELF or a is None else cidx.get(a)
+            k = m if a is SELF else cidx.get(a)
             if x is None or k is None:
                 break
             vec[x] = k

@@ -1,11 +1,12 @@
 """Constructive farsighted improving paths toward mechanism outcomes.
 
-Each builder replays the trace of its mechanism, converting every trading
-block (a TTC/FCT/CT cycle, or all the pair cycles of one ETTC step) and,
-where applicable, every clinch round into a short block of enforceable
-moves.  In a block each student holds one or more seats (in a cycle, the
-one at the school pointing at her; in ETTC, one per pair she has in the
-step's cycles) and is bound for one school:
+Each builder replays its mechanism's trace through one loop that turns,
+step by step, the clinch rounds, the students left unmatched outside any
+cycle, all ETTC pair cycles (one block) and then each TTC/FCT/CT cycle
+into short blocks of enforceable moves.  In a block each student holds
+one or more seats (in a cycle, the one at the school pointing at her; in
+ETTC, one per pair she has in the step's cycles) and is bound for one
+school:
 
 * insertion: each block student grabs her first held seat, evicting the
   lowest-priority occupant of a full school that holds none of them;
@@ -199,16 +200,8 @@ def _alignment_block(acc: _PathAccumulator, clinches, label: str):
     acc.settled.update(i for i, _ in clinches)
 
 
-def _finish(acc: _PathAccumulator, target: Matching) -> PathCertificate:
-    if acc.current != target:
-        raise ConstructionError(
-            f"replay ended at {acc.current.literal()!r} instead of the mechanism outcome"
-        )
-    return PathCertificate(tuple(acc.matchings), tuple(acc.steps))
-
-
 def _replay(problem: Problem, mu: Matching, runner, outcome: str, log) -> PathCertificate:
-    """Replay a trace: each step's clinch rounds, then its cycles."""
+    """Replay a trace step by step, in the order the module docstring gives."""
     target, trace = runner(problem)
     if mu == target:
         raise IdentityError(f"matching already equals the {outcome} outcome")
@@ -217,13 +210,30 @@ def _replay(problem: Problem, mu: Matching, runner, outcome: str, log) -> PathCe
         label = f"step {step.step}"
         for rnd in step.clinch_rounds:
             _alignment_block(acc, rnd.clinches, label)
+        # students left unmatched outside any cycle (ETTC only) give up their seats
+        in_cycles = {i for cyc in step.cycles for i in cyc.students}
+        self_bound = [i for i, a in step.matches.items() if a is SELF and i not in in_cycles]
+        _vacate_self_bound(acc, sorted(self_bound, key=problem.student_index), label)
+        # the step's pair cycles form one block; a student in several
+        # cycles holds several seats
+        seats: dict = {}
+        for i, s in chain.from_iterable(step.pair_cycles):
+            seats.setdefault(i, []).append(s)
+        if seats:
+            seats = {i: sorted(held, key=problem.school_index) for i, held in seats.items()}
+            name = " ".join(f"({i},{','.join(held)})" for i, held in seats.items())
+            _cycle_block(acc, seats, {i: step.matches[i] for i in seats}, label, name)
         for cyc in step.cycles:
             if cyc.is_self_cycle:
                 _vacate_self_bound(acc, cyc.students, label)
             else:
-                seats = {i: [s] for i, s in cyc.inbound().items()}
+                seats = {i: [s] for i, s in zip(cyc.students, cyc.schools)}
                 _cycle_block(acc, seats, cyc.assignments(), label, str(cyc))
-    return _finish(acc, target)
+    if acc.current != target:
+        raise ConstructionError(
+            f"replay ended at {acc.current.literal()!r} instead of the mechanism outcome"
+        )
+    return PathCertificate(tuple(acc.matchings), tuple(acc.steps))
 
 
 def build_path_to_ttc(
@@ -251,22 +261,4 @@ def build_path_to_ettc(
     problem: Problem, mu: Matching, log: ConstructionLog | None = None
 ) -> PathCertificate:
     """Improving path from mu to the equitable top trading cycles outcome."""
-    target, trace = run_ettc(problem)
-    if mu == target:
-        raise IdentityError("matching already equals the pairwise trading outcome")
-    acc = _PathAccumulator(problem, mu, target, log or ConstructionLog())
-    for step in trace.steps:
-        label = f"step {step.step}"
-        # students the round leaves unmatched give up any seat they hold
-        self_bound = [i for i, a in step.matches.items() if a is SELF]
-        _vacate_self_bound(acc, sorted(self_bound, key=problem.student_index), label)
-        # the step's pair cycles form one block; a student in several
-        # cycles holds several seats
-        seats: dict = {}
-        for i, s in chain.from_iterable(step.pair_cycles):
-            seats.setdefault(i, []).append(s)
-        if seats:
-            seats = {i: sorted(held, key=problem.school_index) for i, held in seats.items()}
-            name = " ".join(f"({i},{','.join(held)})" for i, held in seats.items())
-            _cycle_block(acc, seats, {i: step.matches[i] for i in seats}, label, name)
-    return _finish(acc, target)
+    return _replay(problem, mu, run_ettc, "pairwise trading", log)

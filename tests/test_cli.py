@@ -422,11 +422,12 @@ class TestCommands:
         assert code == 0
         assert capsys.readouterr().out.strip() == "115"
 
-    def test_path_and_validate_round_trip(self, instance_file, tmp_path, capsys):
+    @pytest.mark.parametrize("target", ["ttc", "fct", "ct", "ettc"])
+    def test_path_and_validate_round_trip(self, target, instance_file, tmp_path, capsys):
         code = main(
             [
                 "path", instance_file,
-                "--target", "ttc",
+                "--target", target,
                 "--from", "i1->s1, i2->s2, i3->s3, i4->s1",
                 "--format", "json",
             ]
@@ -440,6 +441,29 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert out.strip() == "valid"
+
+    def test_path_from_da_is_valid_three_ahead(self, instance_file, capsys):
+        # the paper's third claim: TTC is reached from DA with three steps
+        # of lookahead
+        args = ["path", instance_file, "--target", "ttc",
+                "--from", "i1->s1, i2->s2, i3->s1, i4->s3", "--check-horizon", "3"]
+        assert main(args) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "verdict: valid"
+        assert main(args + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["certificate"]["horizon"] == 3
+
+    @pytest.mark.parametrize("target, outcome", [
+        ("ttc", "trading"), ("fct", "clinch and trade"), ("ct", "clinch and trade"),
+        ("ettc", "pairwise trading"),
+    ])
+    def test_path_from_the_outcome_exits_2(self, target, outcome, instance_file, capsys):
+        # all four mechanisms reach the TTC outcome on this instance
+        code = main(["path", instance_file, "--target", target,
+                     "--from", "i1->s1, i2->s1, i3->s2, i4->s3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: matching already equals the {outcome} outcome\n"
 
     def test_validate_path_rejects_tampered_certificate(
         self, instance_file, tmp_path, capsys

@@ -301,6 +301,14 @@ class TestReassign:
         assert set(kinds) == {"ok", "assignment", "student", "school"}
         assert min(kinds.values()) > 100
 
+    def test_none_is_no_spelling_of_self(self, trading_instance):
+        mu = trading_instance.empty_matching()
+        message = "student 'i1' assigned to unknown school None"
+        with pytest.raises(ValidationError, match=message):
+            Matching(trading_instance, {**mu.assignment, "i1": None})
+        with pytest.raises(ValidationError, match=message):
+            mu.reassign({"i1": None})
+
 
 class TestIndividualRationality:
     def test_trading_outcome(self, trading_instance, trading_goldens):

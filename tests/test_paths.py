@@ -19,8 +19,9 @@ from schoolchoice import (
     validate_path,
     validate_path_horizon,
 )
+from schoolchoice.mechanisms import MechanismTrace
 from schoolchoice.model import SELF
-from schoolchoice.paths import ConstructionLog, IdentityError
+from schoolchoice.paths import ConstructionError, ConstructionLog, IdentityError
 from schoolchoice.textio import dump_certificate, load_certificate
 
 from conftest import matching_of, random_matching, random_problem
@@ -104,6 +105,16 @@ class TestBuilderBasics:
         target, _ = run_ttc(trading_instance)
         with pytest.raises(IdentityError):
             build_path_to_ttc(trading_instance, target)
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_replay_short_of_the_outcome_raises(self, name, trading_instance, monkeypatch):
+        # an empty trace replays no move, so the start is not the outcome
+        builder, runner = BUILDERS[name]
+        target, _ = runner(trading_instance)
+        empty = (target, MechanismTrace(name, [], target))
+        monkeypatch.setattr(f"schoolchoice.paths.{runner.__name__}", lambda problem: empty)
+        with pytest.raises(ConstructionError, match="instead of the mechanism outcome"):
+            builder(trading_instance, target.reassign({"i1": SELF}))
 
     def test_single_alignment_move(self, clinch_small_instance):
         target, _ = run_fct(clinch_small_instance)
