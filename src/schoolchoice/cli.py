@@ -23,7 +23,6 @@ from .farsight import (
     phi,
     phi_horizon,
     validate_path,
-    validate_path_horizon,
     PathCertificate,
 )
 from .mechanisms import MECHANISMS, run_mechanism
@@ -142,9 +141,7 @@ def cmd_path(problem, args) -> int:
     cert = builder(problem, mu)
     if args.check_horizon is not None:
         cert = PathCertificate(cert.matchings, cert.steps, args.check_horizon)
-        violation = validate_path_horizon(problem, cert)
-    else:
-        violation = validate_path(problem, cert)
+    violation = validate_path(problem, cert)
     verdict = "valid" if violation is None else f"invalid ({violation})"
     lines = []
     for k, mu_k in enumerate(cert.matchings):
@@ -167,7 +164,7 @@ def cmd_path(problem, args) -> int:
 
 def cmd_validate_path(problem, args) -> int:
     cert = load_certificate(problem, _read(args.file))
-    violation = validate_path_horizon(problem, cert)
+    violation = validate_path(problem, cert)
     ok = violation is None
     lines = ["valid" if ok else f"invalid: {violation}"]
     payload = {"valid": ok, "violation": None if ok else str(violation)}

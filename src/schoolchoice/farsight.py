@@ -2,15 +2,16 @@
 
 Two layers live here and they are deliberately not identical:
 
-* The *certificate checkers* (`can_enforce`, `validate_path`,
-  `validate_path_horizon`) verify a given sequence of matchings plus
-  coalitions against the enforcement and improvement conditions exactly as
-  stated: coalition students must weakly prefer the relevant lookahead
-  matching with at least one strict improver, and a school in the coalition
-  whose gains push it past capacity must replace each departing student
-  with a higher-priority newcomer.  A coalition may carry members whose own
-  assignment does not change; they are harmless as long as they satisfy the
-  improvement condition.
+* The *certificate checkers* (`can_enforce`, `school_move_admissible` and
+  `validate_path`, also named `validate_path_horizon`) verify a given
+  sequence of matchings plus coalitions against the enforcement and
+  improvement conditions exactly as stated: coalition students must weakly
+  prefer the lookahead matching of the certificate's horizon with at least
+  one strict improver, and a school in the coalition whose gains push it
+  past capacity must replace each departing student with a higher-priority
+  newcomer.  A coalition may carry members whose own assignment does not
+  change; they are harmless as long as they satisfy the improvement
+  condition.
 
 * The *search* (`phi`, `phi_horizon`, `reachability_matrix` and the
   stable-set checks) decides whether an improving path exists.  The
@@ -146,15 +147,8 @@ class PathCertificate:
         object.__setattr__(self, "steps", tuple(self.steps))
 
     @property
-    def start(self) -> Matching:
-        return self.matchings[0]
-
-    @property
     def end(self) -> Matching:
         return self.matchings[-1]
-
-    def __len__(self):
-        return len(self.steps)
 
 
 @dataclass
@@ -550,7 +544,16 @@ def _step_violation(
     return None
 
 
-def _validate(problem: Problem, cert: PathCertificate, k: int | None) -> PathViolation | None:
+def validate_path(problem: Problem, cert: PathCertificate) -> PathViolation | None:
+    """Check a certificate at its horizon; None means it is valid.
+
+    Under FARSIGHTED every move looks to the path's end; under an integer
+    k each move looks k matchings ahead, or to the end if that is nearer.
+    """
+    try:
+        k = _lookahead(cert.horizon)
+    except ValueError:
+        return PathViolation(-1, f"invalid horizon {cert.horizon!r}")
     mus = cert.matchings
     if len(mus) < 2:
         return PathViolation(-1, "path must contain at least two matchings")
@@ -569,18 +572,8 @@ def _validate(problem: Problem, cert: PathCertificate, k: int | None) -> PathVio
     return None
 
 
-def validate_path(problem: Problem, cert: PathCertificate) -> PathViolation | None:
-    """Check a full-lookahead certificate; None means it is valid."""
-    return _validate(problem, cert, None)
-
-
-def validate_path_horizon(problem: Problem, cert: PathCertificate) -> PathViolation | None:
-    """Check a horizon-k certificate (students compare k steps ahead)."""
-    try:
-        k = _lookahead(cert.horizon)
-    except ValueError:
-        return PathViolation(-1, f"invalid horizon {cert.horizon!r}")
-    return _validate(problem, cert, k)
+#: The same checker under the name that callers of integer horizons import.
+validate_path_horizon = validate_path
 
 
 # --------------------------------------------------------------------------

@@ -27,10 +27,10 @@ distinct matchings; hence a hand-off is made only where the school sheds
 someone, as entering and leaving a school with room would be undone.
 Students whose blocks have already been replayed are settled; evictions
 prefer unsettled squatters so realised matches stay put.  When a
-simultaneous block move is not enforceable (for instance a school losing
-two block students while admitting one cannot satisfy the replacement
-condition), the builder falls back to vacating the movers first, which
-restores one-in-one-out moves.
+move makes a school the movers join refuse its newcomers (for instance,
+one losing two block students while admitting one cannot replace both),
+the builder falls back to vacating the movers first, which restores
+one-in-one-out moves.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from itertools import chain
 
 from .model import SELF, Matching, Problem, SchoolChoiceError
 from .mechanisms import run_ct, run_ettc, run_fct, run_ttc
-from .farsight import Coalition, MoveStep, PathCertificate, _step_violation
+from .farsight import Coalition, MoveStep, PathCertificate, school_move_admissible
 
 
 class IdentityError(SchoolChoiceError):
@@ -61,9 +61,8 @@ class ConstructionLog:
 
 
 class _PathAccumulator:
-    def __init__(self, problem: Problem, start: Matching, final: Matching, log: ConstructionLog):
+    def __init__(self, problem: Problem, start: Matching, log: ConstructionLog):
         self.problem = problem
-        self.final = final
         self.matchings = [start]
         self.steps: list[MoveStep] = []
         self.positions = {start: 0}
@@ -127,21 +126,21 @@ class _PathAccumulator:
         """Emit the move realising `moves`; the movers and the schools they
         join form the coalition.
 
-        Given a `clear` detail, a move the validator would reject (say, one
-        school losing several movers while admitting one) is preceded by
-        the movers giving up their seats, which restores one-in-one-out
-        moves.  Only a school that movers both leave and join can turn
-        from rejecting to admitting that way, so the validator is asked
-        only when some mover sits at a school joined.
+        Given a `clear` detail, a move that some school joined cannot
+        admit by the school rule (`school_move_admissible`; say, one losing
+        several movers while admitting one) is preceded by the movers giving
+        up their seats, which restores one-in-one-out moves.  Only a school
+        that movers both leave and join can turn from refusing to admitting
+        that way, so the schools are asked only when some mover sits at a
+        school joined.
         """
         cur = self.current
         schools = set(moves.values())
         target = self.joined(moves)
         if (
             clear is not None
-            and target != cur
             and any(cur.school_of(i) in schools for i in moves)
-            and _step_violation(self.problem, cur, target, Coalition(moves, schools), self.final)
+            and not all(school_move_admissible(self.problem, s, cur, target) for s in schools)
         ):
             self.vacate(moves, phase, clear)
             target = self.joined(moves)
@@ -205,7 +204,7 @@ def _replay(problem: Problem, mu: Matching, runner, outcome: str, log) -> PathCe
     target, trace = runner(problem)
     if mu == target:
         raise IdentityError(f"matching already equals the {outcome} outcome")
-    acc = _PathAccumulator(problem, mu, target, log or ConstructionLog())
+    acc = _PathAccumulator(problem, mu, log or ConstructionLog())
     for step in trace.steps:
         label = f"step {step.step}"
         for rnd in step.clinch_rounds:

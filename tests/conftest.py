@@ -28,6 +28,32 @@ def trading_instance():
 
 
 @pytest.fixture(scope="session")
+def ttc_h3_case():
+    """Eight students, three schools, and a start from which the TTC
+    builder's certificate holds under full lookahead but fails at horizon
+    3 (step 0: student i2 does not weakly improve)."""
+    p = Problem(
+        tuple(f"i{k}" for k in range(1, 9)),
+        ("s1", "s2", "s3"),
+        {"s1": 2, "s2": 3, "s3": 2},
+        {
+            "i1": ("s3", "s1", "s2"), "i2": ("s1", "s2", "s3"), "i3": ("s2",),
+            "i4": ("s2", "s1"), "i5": ("s3", "s2"), "i6": ("s3", "s2"),
+            "i7": ("s2", "s3", "s1"), "i8": ("s3", "s2", "s1"),
+        },
+        {
+            "s1": ("i3", "i4", "i7", "i6", "i2", "i8", "i5", "i1"),
+            "s2": ("i8", "i7", "i5", "i3", "i4", "i6", "i1", "i2"),
+            "s3": ("i2", "i5", "i7", "i1", "i6", "i3", "i8", "i4"),
+        },
+    )
+    start = matching_of(
+        p, i1="s3", i2="s2", i3="s2", i4="s2", i5="self", i6="s1", i7="s3", i8="self"
+    )
+    return p, start
+
+
+@pytest.fixture(scope="session")
 def clinch_small_instance():
     """Three students, two schools; clinching blocks one priority trade."""
     return Problem(

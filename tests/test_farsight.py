@@ -14,6 +14,7 @@ from schoolchoice import (
     PathCertificate,
     Problem,
     SELF,
+    build_path_to_ttc,
     can_enforce,
     check_stable_set,
     enumerate_matchings,
@@ -453,6 +454,17 @@ class TestValidatePath:
 
 
 class TestValidatePathHorizon:
+    def test_one_validator_under_both_names(self):
+        assert validate_path_horizon is validate_path
+
+    def test_validate_path_reads_the_certificate_horizon(self, ttc_h3_case):
+        # the same moves pass under full lookahead and fail three ahead
+        p, start = ttc_h3_case
+        cert = build_path_to_ttc(p, start)
+        assert validate_path(p, cert) is None
+        bounded = PathCertificate(cert.matchings, cert.steps, 3)
+        assert str(validate_path(p, bounded)) == "step 0: student i2 does not weakly improve"
+
     def test_three_ahead_suffices(self, trading_instance, walkthrough):
         cert = PathCertificate(walkthrough.matchings, walkthrough.steps, 3)
         assert validate_path_horizon(trading_instance, cert) is None
@@ -467,11 +479,11 @@ class TestValidatePathHorizon:
         cert = PathCertificate(walkthrough.matchings, walkthrough.steps, 99)
         assert validate_path_horizon(trading_instance, cert) is None
 
-    @pytest.mark.parametrize("horizon", [True, 0, 1.5])
+    @pytest.mark.parametrize("horizon", [True, 0, 1.5, "far"])
     def test_horizon_must_be_a_positive_integer(self, trading_instance, walkthrough, horizon):
         # the searches' rule: True is no k = 1, and 1.5 is not truncated
         cert = PathCertificate(walkthrough.matchings, walkthrough.steps, horizon)
-        assert validate_path_horizon(trading_instance, cert) == PathViolation(
+        assert validate_path(trading_instance, cert) == PathViolation(
             -1, f"invalid horizon {horizon!r}"
         )
         data = {**certificate_to_dict(walkthrough), "horizon": horizon}

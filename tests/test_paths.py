@@ -16,12 +16,15 @@ from schoolchoice import (
     run_fct,
     run_mechanism,
     run_ttc,
+    school_move_admissible,
     validate_path,
     validate_path_horizon,
 )
 from schoolchoice.mechanisms import MechanismTrace
 from schoolchoice.model import SELF
-from schoolchoice.paths import ConstructionError, ConstructionLog, IdentityError
+from schoolchoice.paths import (
+    ConstructionError, ConstructionLog, IdentityError, _PathAccumulator,
+)
 from schoolchoice.textio import dump_certificate, load_certificate
 
 from conftest import matching_of, random_matching, random_problem
@@ -111,7 +114,7 @@ class TestBuilderBasics:
         # an empty trace replays no move, so the start is not the outcome
         builder, runner = BUILDERS[name]
         target, _ = runner(trading_instance)
-        empty = (target, MechanismTrace(name, [], target))
+        empty = (target, MechanismTrace(name, []))
         monkeypatch.setattr(f"schoolchoice.paths.{runner.__name__}", lambda problem: empty)
         with pytest.raises(ConstructionError, match="instead of the mechanism outcome"):
             builder(trading_instance, target.reassign({"i1": SELF}))
@@ -242,6 +245,40 @@ class TestMarketStarts:
                 assert violation is None, (name, p, start.literal(), str(violation))
 
 
+class TestClearFallback:
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_clear_precedes_a_join_a_school_refuses(self, name, monkeypatch):
+        # the movers vacate first only where a school they join cannot
+        # admit its newcomers by the school rule
+        builder, _ = BUILDERS[name]
+        join, replaced = _PathAccumulator.join, []
+
+        def spy(acc, moves, phase, detail, clear=None):
+            cur, target, n = acc.current, acc.joined(moves), len(acc.log.entries)
+            join(acc, moves, phase, detail, clear)
+            if any(d == clear for _, d, _ in acc.log.entries[n:]):
+                replaced.append((cur, target, set(moves.values())))
+
+        monkeypatch.setattr(_PathAccumulator, "join", spy)
+        rng = random.Random(528)
+        for _ in range(3000):
+            p = random_problem(rng, 6, 4)
+            start, log = random_matching(rng, p), ConstructionLog()
+            try:
+                cert = builder(p, start, log)
+            except IdentityError:
+                continue
+            if replaced:
+                break
+        else:
+            pytest.fail(f"no {name} replay clears on 3000 seeded starts")
+        assert any(detail.startswith("clear ") for _, detail, _ in log.entries)
+        assert validate_path(p, cert) is None, (p, start.literal())
+        for cur, target, schools in replaced:
+            assert target != cur
+            assert not all(school_move_admissible(p, s, cur, target) for s in schools)
+
+
 class TestCertificateRoundTrip:
     def test_builder_certificates_survive_json(self):
         rng = random.Random(1414)
@@ -289,22 +326,8 @@ class TestKnownBuilderDefects:
         assert violation is None, str(violation)
 
     @pytest.mark.xfail(strict=True, reason="step 0: student i2 does not weakly improve")
-    def test_trading_certificate_validates_three_ahead(self):
-        p = parsed(
-            "i1 i2 i3 i4 i5 i6 i7 i8", "s1 s2 s3", {"s1": 2, "s2": 3, "s3": 2},
-            {
-                "i1": "s3 s1 s2", "i2": "s1 s2 s3", "i3": "s2", "i4": "s2 s1",
-                "i5": "s3 s2", "i6": "s3 s2", "i7": "s2 s3 s1", "i8": "s3 s2 s1",
-            },
-            {
-                "s1": "i3 i4 i7 i6 i2 i8 i5 i1",
-                "s2": "i8 i7 i5 i3 i4 i6 i1 i2",
-                "s3": "i2 i5 i7 i1 i6 i3 i8 i4",
-            },
-        )
-        start = matching_of(
-            p, i1="s3", i2="s2", i3="s2", i4="s2", i5="self", i6="s1", i7="s3", i8="self"
-        )
+    def test_trading_certificate_validates_three_ahead(self, ttc_h3_case):
+        p, start = ttc_h3_case
         cert = build_path_to_ttc(p, start)
         assert validate_path(p, cert) is None
         violation = validate_path_horizon(p, PathCertificate(cert.matchings, cert.steps, 3))
