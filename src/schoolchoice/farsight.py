@@ -119,9 +119,6 @@ class Coalition:
         object.__setattr__(self, "students", frozenset(self.students))
         object.__setattr__(self, "schools", frozenset(self.schools))
 
-    def is_empty(self) -> bool:
-        return not self.students and not self.schools
-
 
 @dataclass(frozen=True)
 class MoveStep:
@@ -264,7 +261,8 @@ def school_move_admissible(problem: Problem, s: str, a: Matching, b: Matching) -
 
 
 def _enforces(problem: Problem, moves: dict, coalition: Coalition) -> bool:
-    """`can_enforce` on the diff of a move with a != b and a non-empty coalition."""
+    """`can_enforce` on the diff of a move with a != b.  An empty coalition
+    enforces none: every school in the diff needs itself or a student in it."""
     name = problem.students.__getitem__
     for c, (joiners, leavers) in moves.items():
         inside = problem.schools[c] in coalition.schools
@@ -287,7 +285,7 @@ def can_enforce(
     Extra members are permitted.
     """
     moves = _move_diff(a, b)
-    return bool(moves) and not coalition.is_empty() and _enforces(problem, moves, coalition)
+    return bool(moves) and _enforces(problem, moves, coalition)
 
 
 class _EdgeOracle:
@@ -623,10 +621,8 @@ def phi(
     """All matchings reachable from mu by a farsighted improving path."""
     uni, oracle = _space(problem, universe)
     src = _index(oracle, mu)
-    return {
-        target for t, target in enumerate(uni)
-        if t != src and oracle.sources_reaching(t) >> src & 1
-    }
+    cols = _reach_columns(oracle, range(len(uni)), None, None)[0]
+    return {target for target, col in zip(uni, cols) if col >> src & 1}
 
 
 def reachability_matrix(
@@ -679,10 +675,6 @@ def phi_horizon(
     return HorizonResult(reachable={uni[t] for t in _members(reachable)}, partial=partial)
 
 
-class _GoalReached(Exception):
-    """Unwinds `_phi_horizon` at its first certified goal matching."""
-
-
 def _phi_horizon(
     oracle: _EdgeOracle,
     src: int,
@@ -700,8 +692,9 @@ def _phi_horizon(
     that closes, and an endpoint is certified by the AND of the masks whose
     windows are still open.  Children at the depth cap are certified all at
     once when the budget covers them, and charged one node each.  With a
-    goal bitset the search stops at its first certified goal matching, and
-    its result then only says that a goal was reached.
+    goal bitset the search stops at its first certified goal matching: that
+    frame returns, and every frame above it expands no further child, so
+    the result then only says that a goal was reached.
     """
     if depth_cap is None:
         depth_cap = min(len(oracle.vecs), DEFAULT_DEPTH_CAP)
@@ -730,7 +723,7 @@ def _phi_horizon(
         if L and window(L - k + 1, L) >> x & 1:
             reachable |= 1 << x
             if reachable & goal:
-                raise _GoalReached
+                return
         if L >= depth_cap:
             partial = True  # a longer path might certify more targets
             return
@@ -746,10 +739,8 @@ def _phi_horizon(
                 budget -= cand.bit_count()
                 partial = True
                 reachable |= cand & direct(x) & window(L + 2 - k, L)
-                if reachable & goal:
-                    raise _GoalReached
             return
-        while cand:
+        while cand and not reachable & goal:
             low = cand & -cand
             cand ^= low
             y = low.bit_length() - 1
@@ -759,10 +750,7 @@ def _phi_horizon(
             path.pop()
             moves.pop()
 
-    try:
-        dfs(0, 1 << src)
-    except _GoalReached:
-        pass
+    dfs(0, 1 << src)
     del dfs  # break its self-reference, so the oracle is freed without a gc pass
     return reachable, partial
 

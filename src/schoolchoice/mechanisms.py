@@ -5,9 +5,11 @@ run_ia return just the matching.  Traces record, step by step, remaining
 capacities, clinch rounds, cycles and the matches they formed, which is
 enough to replay or audit a run.
 
-TTC, FCT and CT trade on one pointer state (`_Pointers`) kept across
-their steps, so a trading step costs about the schools plus the students
-it moves:
+TTC, FCT, CT and ETTC are each a step function on one pointer state
+(`_Pointers`) kept across their steps.  One loop, `_Pointers.run`, drives
+all four: it numbers the steps, records the capacities each starts from,
+and stops a run whose step matched no one.  A trading step costs about
+the schools plus the students it moves:
 - cursors are monotone: a student's cursor over her list only skips
   schools without a free seat, and capacities only fall; a school's cursor
   over its priority order only skips students who left the pool, and the
@@ -38,7 +40,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, filterfalse, repeat
+from itertools import chain, count, filterfalse, repeat
 
 from .model import SELF, Matching, Problem
 
@@ -259,6 +261,18 @@ class _Pointers:
         step.cycles = _find_cycles(self.problem, succ, top, selfs)
         self.execute(step, (m for c in step.cycles for m in c.assignments().items()))
 
+    def run(self, name: str, step) -> tuple[Matching, MechanismTrace]:
+        """Call step on a fresh TraceStep until every student is matched;
+        a step that matches no one raises AssertionError."""
+        steps = []
+        while len(self.assignment) < len(self.problem.students):
+            record = TraceStep(step=len(steps) + 1, capacities=dict(self.capacity))
+            step(record)
+            steps.append(record)
+            if not record.matches:
+                raise AssertionError(f"{name} made no progress")
+        return self.problem.matching(self.assignment), MechanismTrace(name, steps)
+
 
 # --------------------------------------------------------------------------
 # Top Trading Cycles
@@ -266,13 +280,7 @@ class _Pointers:
 
 def run_ttc(problem: Problem) -> tuple[Matching, MechanismTrace]:
     ptrs = _Pointers(problem)
-    steps = []
-    while len(ptrs.assignment) < len(problem.students):
-        record = TraceStep(step=len(steps) + 1, capacities=dict(ptrs.capacity))
-        ptrs.trade(record)
-        steps.append(record)
-    mu = problem.matching(ptrs.assignment)
-    return mu, MechanismTrace("ttc", steps)
+    return ptrs.run("ttc", ptrs.trade)
 
 
 # --------------------------------------------------------------------------
@@ -348,9 +356,8 @@ def run_fct(problem: Problem) -> tuple[Matching, MechanismTrace]:
     # each school guarantees its seats to its heir window at the start
     guarantees = {s: ptrs.heirs(s) for s in problem.schools}
     guaranteed = {s: set(g) for s, g in guarantees.items()}
-    steps = []
-    while len(ptrs.assignment) < len(problem.students):
-        record = TraceStep(step=len(steps) + 1, capacities=dict(ptrs.capacity))
+
+    def step(record: TraceStep) -> None:
         # clinch phase: a student pointing at a school where she is
         # guaranteed a seat is assigned there at once; no one else could
         # clinch last step, so only a student whose pointer moved can now
@@ -366,11 +373,10 @@ def run_fct(problem: Problem) -> tuple[Matching, MechanismTrace]:
         # cycle through a just-clinched student does not form (such a
         # student points nowhere)
         ptrs.trade(record, held={i for i, _ in clinches})
-        steps.append(record)
-        if not clinches and not record.cycles:
-            raise AssertionError("first clinch and trade made no progress")
-    mu = problem.matching(ptrs.assignment)
-    return mu, MechanismTrace("fct", steps, guarantees_initial=guarantees)
+
+    mu, trace = ptrs.run("fct", step)
+    trace.guarantees_initial = guarantees
+    return mu, trace
 
 
 # --------------------------------------------------------------------------
@@ -379,18 +385,18 @@ def run_fct(problem: Problem) -> tuple[Matching, MechanismTrace]:
 
 def run_ct(problem: Problem) -> tuple[Matching, MechanismTrace]:
     ptrs = _Pointers(problem)
-    capacity, assignment = ptrs.capacity, ptrs.assignment
+    assignment = ptrs.assignment
     # per school, the students who list it first: the ones who can clinch it
     fans: dict = {s: set() for s in problem.schools}
     for i, prefs in problem.preferences.items():
         if prefs:
             fans[prefs[0]].add(i)
     remaining = list(problem.students)
-    steps = []
     # no one has traded before step 1, and every pointer was just set
     repointed, ptrs.moved = ptrs.moved, set()
-    while remaining:
-        record = TraceStep(step=len(steps) + 1, capacities=dict(capacity))
+
+    def step(record: TraceStep) -> None:
+        nonlocal remaining, repointed
         # students who pointed in the previous trading phase at a school that
         # still has a seat stay in the trading market and skip clinching;
         # a pointer moves only when its school fills, so these are the
@@ -399,9 +405,7 @@ def run_ct(problem: Problem) -> tuple[Matching, MechanismTrace]:
         # iterated clinching: a school guarantees its seats to its heir
         # window among the students still present, so guarantees improve as
         # others clinch; excluded students compete but hold no guarantee
-        round_no = 0
-        while True:
-            round_no += 1
+        for round_no in count(1):
             guarantees = {
                 s: tuple(filter(repointed.__contains__, ptrs.heirs(s))) for s in problem.schools
             }
@@ -421,11 +425,8 @@ def run_ct(problem: Problem) -> tuple[Matching, MechanismTrace]:
         ptrs.trade(record)
         repointed, ptrs.moved = ptrs.moved, set()
         remaining = list(filterfalse(assignment.__contains__, remaining))
-        steps.append(record)
-        if not record.matches:
-            raise AssertionError("clinch and trade made no progress")
-    mu = problem.matching(assignment)
-    return mu, MechanismTrace("ct", steps)
+
+    return ptrs.run("ct", step)
 
 
 # --------------------------------------------------------------------------
@@ -436,7 +437,6 @@ def run_ettc(problem: Problem) -> tuple[Matching, MechanismTrace]:
     ptrs = _Pointers(problem)
     assignment, sidx = ptrs.assignment, problem._sidx
     rank = {s: dict(zip(order, range(len(order)))) for s, order in problem.priorities.items()}
-    steps = []
     # (school s, school t) -> (heirs of t, the one of them s ranks highest,
     # how many students had joined t's window); kept across steps
     holder_at: dict = {}
@@ -455,8 +455,7 @@ def run_ettc(problem: Problem) -> tuple[Matching, MechanismTrace]:
         holder_at[(s, t)] = (heirs, best, len(ptrs.joined[t]))
         return best
 
-    while len(assignment) < len(problem.students):
-        record = TraceStep(step=len(steps) + 1, capacities=dict(ptrs.capacity))
+    def step(record: TraceStep) -> None:
         # inheritance: each school's open seats go to its heir window, one
         # seat per student; every school with a seat left has heirs
         heirs = {s: ptrs.heirs(s) for s in problem.schools}
@@ -468,8 +467,7 @@ def run_ettc(problem: Problem) -> tuple[Matching, MechanismTrace]:
             # no seat left to inherit anywhere: everyone remaining ends alone
             left = filterfalse(assignment.__contains__, problem.students)
             ptrs.execute(record, ((i, SELF) for i in left))
-            steps.append(record)
-            break
+            return
 
         # pointing: pair (i, s) points at the pair holding a seat at i's best
         # school with a seat, ptrs.ptr[i], whose student ranks highest in
@@ -500,11 +498,8 @@ def run_ettc(problem: Problem) -> tuple[Matching, MechanismTrace]:
             for pair in cyc:
                 takes.setdefault(pair[0], succ[pair][1])
         ptrs.execute(record, takes.items())
-        steps.append(record)
-        if not record.matches:
-            raise AssertionError("equitable top trading cycles made no progress")
-    mu = problem.matching(assignment)
-    return mu, MechanismTrace("ettc", steps)
+
+    return ptrs.run("ettc", step)
 
 
 MECHANISMS = {

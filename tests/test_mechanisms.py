@@ -2,6 +2,8 @@ import itertools
 import random
 import time
 
+import pytest
+
 from schoolchoice import (
     SELF,
     Matching,
@@ -20,6 +22,8 @@ from schoolchoice import (
     run_mechanism,
     run_ttc,
 )
+
+from schoolchoice.mechanisms import _Pointers
 
 from conftest import matching_of, random_problem
 
@@ -217,6 +221,29 @@ class TestMechanismInvariants:
                 _, trace = run_mechanism(name, p)
                 for st in trace.steps:
                     assert all(q >= 0 for q in st.capacities.values())
+
+
+class TestStepLoop:
+    """The one step loop of the trading mechanisms stops a run whose step
+    matched no one, instead of looping on it."""
+
+    def test_a_step_that_matches_no_one_raises(self, trading_instance):
+        with pytest.raises(AssertionError, match="fct made no progress"):
+            _Pointers(trading_instance).run("fct", lambda record: None)
+
+    def test_ttc_stops_when_a_trading_round_matches_no_one(
+        self, trading_instance, monkeypatch
+    ):
+        calls = []
+
+        def trade(self, step, held=()):
+            calls.append(step)
+            if len(calls) > 50:
+                raise RuntimeError("trading rounds never stop")
+
+        monkeypatch.setattr(_Pointers, "trade", trade)
+        with pytest.raises(AssertionError, match="ttc made no progress"):
+            run_ttc(trading_instance)
 
 
 def _heir_problem(rng: random.Random) -> Problem:
