@@ -48,9 +48,14 @@ The structural screen of a move is that someone moves and no school blocks;
 screens a pair alone.  What a move owes the lookahead is read from the
 lookahead tables along either axis.  `looks(a, b)` is the bitset of
 lookaheads under which a -> b holds; `predecessors` is, for one lookahead,
-the bitset of sources with a move into a matching.  The reverse search
-behind full lookahead takes each frontier matching's predecessor set at
-once.  The horizon-k depth-first search keeps one `looks` mask per move on
+the bitset of sources with a move into a matching.  Under one lookahead
+each clause of the rule reads a single school's roster in the target, so
+`predecessors` is per school two bitsets of sources (`clauses`: those that
+pass the school's clauses, and those in which a student it touches strictly
+improves), ANDed and ORed over the schools.  The reverse search behind full
+lookahead memoises them per (school, roster) for its lookahead, so each
+frontier matching costs one memo read per school.  The horizon-k
+depth-first search keeps one `looks` mask per move on
 its path: a node's extensions are its successors off the path under the
 mask of the move whose window closes, an endpoint is certified by the AND
 of the masks whose windows are still open, and the children at the depth
@@ -58,9 +63,13 @@ cap are certified together by one AND with the node's `direct` set (its
 moves that hold under their own target, built for that node on first use).
 Every stable-set query reads one helper, `_reach_columns`: per candidate,
 the matchings with a path into it, and the matchings whose search was cut
-short (unknown, never a violation).  Under a horizon a run from outside
-the candidate set stops at its first certified candidate and a lone
-candidate's own run is skipped.  The stable sets are the kernels of the
+short (unknown, never a violation).  Under a horizon k a path of at most k
+moves is a full-lookahead path into its end, so each column starts from
+min(k, depth cap) levels of its reverse search; a run from outside the
+candidate set is skipped once it is in a column and otherwise stops at its
+first certified candidate, and a lone candidate's own run is skipped.
+`phi` searches only the targets under which some first move from its
+source holds.  The stable sets are the kernels of the
 digraph x -> y iff y is in phi(x), which `find_stable_sets` finds by a
 backtracking search over its rows and columns.  Everything is plain
 Python; no numpy.
@@ -77,6 +86,7 @@ school its newcomers overflow gets the search's verdict, on rank bitsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, compress, repeat
 from operator import lshift, ne, or_
 from struct import Struct, calcsize
@@ -376,16 +386,42 @@ class _EdgeOracle:
         return got
 
     def student_masks(self, t: int):
-        """The lookahead tables read for lookahead matching t: per student,
-        whether t anchors her claim at each school, and the matchings whose
-        seat for her she ranks weakly, and strictly, below her seat in t.
-        Built per reverse search and not kept.
+        """The state of one reverse search under lookahead matching t: t,
+        per student the matchings whose seat for her she ranks weakly, and
+        strictly, below her seat in t, and per school a list, indexed by
+        roster id, of the `clauses` filled so far.  Built per reverse search
+        and not kept.
         """
-        anchored = [[col[i] >> t & 1 for col in self.anchor] for i in self.students]
         ref = self.vecs[t]
         weak = [self.all & ~row[d] for row, d in zip(self.above, ref)]
         strict = [self.all & ~row[d] for row, d in zip(self.atleast, ref)]
-        return anchored, weak, strict
+        return t, weak, strict, [[None] * len(codes) for codes in self.codes]
+
+    def clauses(self, s: int, r: int, masks) -> tuple[int, int]:
+        """What a move into a matching that gives school s its roster r asks
+        of its sources under the lookahead of masks, as two bitsets: those
+        whose move passes the school's clauses, and those in which a student
+        it touches strictly prefers the lookahead.
+
+        The school must not block; each student of r who joins it weakly
+        improves and claims an anchored seat; and if its leavers go
+        unreplaced, each of them strictly improves.  Memoised in masks.
+        """
+        t, weak, strict, memos = masks
+        into = self.groups(s, r, True)
+        code, anchor = self.codes[s][r], self.anchor[s]
+        keep, improver, gone, reluctant = self.all & ~into[BLOCKED], 0, 0, 0
+        for i, rank in enumerate(self.prio[s]):
+            seat = self.seat[i][s]
+            if code >> rank & 1:  # i is in r: if she joins, she must weakly improve
+                keep &= seat | weak[i] if anchor[i] >> t & 1 else seat
+                improver |= strict[i] & ~seat
+            else:  # i leaves, if she held a seat
+                gone |= seat
+                reluctant |= seat & ~strict[i]
+        unreplaced = into[UNREPLACED]
+        got = memos[s][r] = keep & ~(unreplaced & reluctant), improver | unreplaced & gone
+        return got
 
     def looks(self, a: int, b: int) -> int:
         """The lookahead matchings under which the move a -> b holds, as one
@@ -416,32 +452,17 @@ class _EdgeOracle:
         """The matchings in `within` with an edge into y, as one bitset.
 
         masks are `student_masks` of the lookahead.  The same rule as
-        `looks`, applied to every source at once by AND and OR of masks.
+        `looks`, applied to every source at once: each school's `clauses`
+        for its roster in y, ANDed over the schools, and someone strictly
+        improves at one of them.
         """
-        anchored, weak, strict = masks
-        m, ry, into = self.m, self.rid[y], self._into
-        got = within
-        unreplaced = []
-        for s in range(m):
-            by = into[s][ry[s]] or self.groups(s, ry[s], True)
-            got &= ~by[BLOCKED]
-            unreplaced.append(by[UNREPLACED])
-        improver = 0  # someone strictly prefers the lookahead
-        for i, d in enumerate(self.vecs[y]):
+        memos, got, improver = masks[3], within, 0
+        for s, r in enumerate(self.rid[y]):
+            keep, better = memos[s][r] or self.clauses(s, r, masks)
+            got &= keep
             if not got:
                 return 0
-            seats = self.seat[i]
-            stay = seats[d]
-            if d != m:  # joiners weakly improve and claim an anchored seat
-                got &= stay | weak[i] if anchored[i][d] else stay
-                improver |= strict[i] & ~stay
-            gone = 0  # i leaves a seat unreplaced, so must strictly improve
-            for c in range(m):
-                if c != d:
-                    gone |= seats[c] & unreplaced[c]
-            if gone:
-                got &= ~gone | strict[i]
-                improver |= gone
+            improver |= better
         return got & improver
 
     def succ_mask(self, x: int) -> int:
@@ -476,13 +497,15 @@ class _EdgeOracle:
             self._direct[x] = got
         return got
 
-    def sources_reaching(self, target_idx: int) -> int:
-        """The bitset of universe indices from which the target is reachable."""
+    def sources_reaching(self, target_idx: int, levels: int = -1) -> int:
+        """The bitset of universe indices from which the target is reachable;
+        with levels >= 0, by a path of at most that many moves."""
         masks = self.student_masks(target_idx)
         rest = self.all & ~(1 << target_idx)
         frontier = 1 << target_idx
         reached = 0
-        while frontier and rest:
+        while frontier and rest and levels:
+            levels -= 1
             nxt = 0
             for y in _members(frontier):
                 found = self.predecessors(y, masks, rest)
@@ -618,11 +641,17 @@ def phi(
     mu: Matching,
     universe: Sequence[Matching] | None = None,
 ) -> set[Matching]:
-    """All matchings reachable from mu by a farsighted improving path."""
+    """All matchings reachable from mu by a farsighted improving path.
+
+    Every move of such a path looks to its end, the first one included, so
+    only the targets under which some first move from mu holds are searched.
+    """
     uni, oracle = _space(problem, universe)
     src = _index(oracle, mu)
-    cols = _reach_columns(oracle, range(len(uni)), None, None)[0]
-    return {target for target, col in zip(uni, cols) if col >> src & 1}
+    heads = reduce(or_, (oracle.looks(src, y) for y in _members(oracle.succ_mask(src))), 0)
+    targets = _members(heads)
+    cols = _reach_columns(oracle, targets, None, None)[0]
+    return {uni[t] for t, col in zip(targets, cols) if col >> src & 1}
 
 
 def reachability_matrix(
@@ -766,19 +795,24 @@ def _reach_columns(
     the bitset of the matchings whose search was cut short.
 
     Under full lookahead, one reverse search per candidate, never cut.
-    Under horizon k, one `_phi_horizon` per matching of the universe.  A
-    run from outside the candidate set stops at its first certified
-    candidate, so it sets the bit of one column it reaches, not of each.
-    The runs from a multi-matching set's own members stay exhaustive; a
-    lone candidate's own run decides nothing, so it is skipped.
+    Under horizon k, each column starts from the outside matchings within
+    min(k, depth cap) levels of its reverse search: every move of a path
+    that short looks to its end, so it is a full-lookahead path.  Then one
+    `_phi_horizon` per matching of the universe not yet in a column.  A run
+    from outside the candidate set stops at its first certified candidate,
+    so it sets the bit of one column it reaches, not of each.  The runs
+    from a multi-matching set's own members stay exhaustive; a lone
+    candidate's own run decides nothing, so it is skipped.
     """
     if k is None:
         return [oracle.sources_reaching(t) for t in cand], 0
     column = {t: j for j, t in enumerate(cand)}
     goal = sum(1 << t for t in cand)
-    cols, cut = [0] * len(cand), 0
+    cap = min(len(oracle.vecs), DEFAULT_DEPTH_CAP) if depth_cap is None else depth_cap
+    cols = [oracle.sources_reaching(t, min(k, cap)) & ~goal for t in cand]
+    covered, cut = reduce(or_, cols, 0), 0
     for x in range(len(oracle.vecs)):
-        if x in column and len(cand) == 1:
+        if x in column and len(cand) == 1 or covered >> x & 1:
             continue
         stop = 0 if x in column else goal
         reach, partial = _phi_horizon(oracle, x, k, depth_cap, DEFAULT_NODE_BUDGET, stop)

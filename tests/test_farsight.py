@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -617,6 +618,41 @@ class TestStableSets:
         assert not report.external_violations and not report.internal_violations
         assert check_stable_set(p, [ttc], horizon=3, depth_cap=3).verdict == "stable"
 
+    def test_horizon_three_sweep_is_conclusive(self):
+        # every source within three reverse levels of TTC is certified
+        # without its own depth-first search, so each check finishes
+        rng = random.Random(2212)
+        start = time.perf_counter()
+        unstable = []
+        for number in range(400):
+            p = random_problem(rng, 5, 3)
+            report = check_stable_set(p, [run_ttc(p)[0]], horizon=3)
+            assert report.verdict != "inconclusive", number
+            if report.verdict == "unstable":
+                unstable.append(number)
+        assert unstable == [127, 136, 346, 370]
+        assert time.perf_counter() - start < 5.0
+
+    def test_prefilter_levels_are_the_horizon_paths(self):
+        # at most min(k, depth cap) reverse levels: every source the search
+        # certifies by a path that short is in the prefilter, and no other
+        rng = random.Random(2213)
+        instances = 0
+        while instances < 12:
+            p = random_problem(rng, 4, 3)
+            universe = enumerate_matchings(p)
+            if not 3 <= len(universe) <= 30:
+                continue
+            instances += 1
+            oracle = _EdgeOracle(p, universe)
+            for t in range(len(universe)):
+                for k in (1, 2, 3):
+                    want = sum(
+                        1 << x for x in range(len(universe)) if x != t and
+                        farsight._phi_horizon(oracle, x, k, k, 10**6)[0] >> t & 1
+                    )
+                    assert oracle.sources_reaching(t, k) == want, (t, k)
+
     def test_depth_cap_without_horizon_rejected(self, trading_instance, trading_goldens):
         # full lookahead has no depth to cap; a cap there would be ignored
         for cap in (0, 1, 12):
@@ -1034,16 +1070,23 @@ class TestEdgeKernel:
     def test_reverse_search_makes_no_edge_call(
         self, trading_instance, trading_goldens, trading_universe, monkeypatch
     ):
-        # the reverse search takes whole predecessor sets: no call per pair
-        def refuse(*args):
-            raise AssertionError("looks called")
-
-        monkeypatch.setattr(_EdgeOracle, "looks", refuse)
+        # the reverse search takes whole predecessor sets: no call per pair;
+        # phi reads `looks` only on the source's own first moves
+        calls = []
+        looks = _EdgeOracle.looks
+        monkeypatch.setattr(
+            _EdgeOracle, "looks", lambda self, a, b: calls.append((a, b)) or looks(self, a, b)
+        )
         p, uni = trading_instance, trading_universe
         da, ttc = trading_goldens["da"], trading_goldens["ttc"]
         assert phi(p, da, universe=uni) == {ttc}
+        src = uni.index(da)
+        oracle = _EdgeOracle(p, uni)
+        assert calls == [(src, y) for y in range(len(uni)) if oracle.succ_mask(src) >> y & 1]
+        calls.clear()
         assert check_stable_set(p, [da], universe=uni).verdict == "unstable"
         assert find_stable_sets(p, universe=uni) == [[ttc]]
+        assert calls == []
 
     def test_search_leaves_numpy_unimported(self):
         script = (
@@ -1142,6 +1185,20 @@ def tall_instances():
         yield p, sampled_matchings(rng, p, 40), rng.sample(range(40), 3)
 
 
+def wide_instance():
+    """10 students, 300 schools of quota 2 and a sample of 50 matchings: a
+    seat takes two bytes, and the students' lists pair schools whose
+    indices share their low byte (0 and 256, ...)."""
+    rng = random.Random(409)
+    students = tuple(f"i{k}" for k in range(1, 11))
+    schools = tuple(f"s{k}" for k in range(1, 301))
+    pool = schools[:4] + schools[255:260]
+    prefs = {i: tuple(rng.sample(pool, 5)) for i in students}
+    prios = {s: tuple(rng.sample(students, 10)) for s in schools}
+    p = Problem(students, schools, {s: 2 for s in schools}, prefs, prios)
+    return p, sampled_matchings(rng, p, 50)
+
+
 class TestOracleTables:
     """The roster index and lookahead tables against their definitions, on
     shuffled universes; the tall instances give roster codes past 8 priority
@@ -1170,19 +1227,93 @@ class TestOracleTables:
         assert high
 
     def test_wide_instance(self):
-        # 300 schools, so a seat takes two bytes; the students' lists pair
-        # schools whose indices share their low byte (0 and 256, ...)
-        rng = random.Random(409)
-        students = tuple(f"i{k}" for k in range(1, 11))
-        schools = tuple(f"s{k}" for k in range(1, 301))
-        pool = schools[:4] + schools[255:260]
-        prefs = {i: tuple(rng.sample(pool, 5)) for i in students}
-        prios = {s: tuple(rng.sample(students, 10)) for s in schools}
-        p = Problem(students, schools, {s: 2 for s in schools}, prefs, prios)
-        universe = sampled_matchings(rng, p, 50)
-        oracle = assert_tables_as_defined(p, universe)
+        oracle = assert_tables_as_defined(*wide_instance())
         seated = {c for vec in oracle.vecs for c in vec}
         assert {0, 256} <= seated or {1, 257} <= seated or {2, 258} <= seated
+
+
+def reference_masks(oracle, t):
+    """Per student, whether lookahead t anchors her claim at each school,
+    and the matchings whose seat for her she ranks weakly, and strictly,
+    below her seat in t."""
+    ref = oracle.vecs[t]
+    anchored = [[col[i] >> t & 1 for col in oracle.anchor] for i in oracle.students]
+    weak = [oracle.all & ~row[d] for row, d in zip(oracle.above, ref)]
+    strict = [oracle.all & ~row[d] for row, d in zip(oracle.atleast, ref)]
+    return anchored, weak, strict
+
+
+def reference_predecessors(oracle, masks, y, within):
+    """The matchings in `within` with an edge into y under the lookahead of
+    `reference_masks`, by the edge rule read one student at a time: each
+    joiner weakly improves and claims an anchored seat, each student who
+    leaves a seat unreplaced strictly improves, and someone strictly
+    improves."""
+    anchored, weak, strict = masks
+    m, got, unreplaced = oracle.m, within, []
+    for s, r in enumerate(oracle.rid[y]):
+        by = oracle.groups(s, r, True)
+        got &= ~by[BLOCKED]
+        unreplaced.append(by[UNREPLACED])
+    improver = 0
+    for i, d in enumerate(oracle.vecs[y]):
+        seats = oracle.seat[i]
+        stay = seats[d]
+        if d != m:
+            got &= stay | weak[i] if anchored[i][d] else stay
+            improver |= strict[i] & ~stay
+        gone = 0
+        for c in range(m):
+            if c != d:
+                gone |= seats[c] & unreplaced[c]
+        got &= ~gone | strict[i]
+        improver |= gone
+    return got & improver
+
+
+class TestPerSchoolClauses:
+    """`predecessors` reads each school's memoised clauses; the student-by-
+    student rule must give the same set for every (lookahead, target), on
+    universes as enumerated and shuffled."""
+
+    def assert_as_reference(self, p, universe):
+        oracle = _EdgeOracle(p, universe)
+        n = len(universe)
+        nonempty = 0
+        for t in range(n):  # targets in sequence on one oracle
+            masks, ref = oracle.student_masks(t), reference_masks(oracle, t)
+            for y in range(n):
+                got = oracle.predecessors(y, masks, oracle.all)
+                assert got == reference_predecessors(oracle, ref, y, oracle.all), (t, y)
+                nonempty += got != 0
+        return nonempty
+
+    @pytest.mark.parametrize("instances", [kernel_instances, tall_instances])
+    def test_matches_the_student_rule(self, instances):
+        rng = random.Random(410)
+        nonempty = 0
+        for p, universe, _ in instances():
+            for uni in (universe, rng.sample(universe, len(universe))):
+                nonempty += self.assert_as_reference(p, uni)
+        assert nonempty
+
+    def test_matches_the_student_rule_wide(self):
+        p, universe = wide_instance()
+        rng = random.Random(411)
+        for uni in (universe, rng.sample(universe, len(universe))):
+            self.assert_as_reference(p, uni)
+
+    def test_no_memo_leaks_between_lookaheads(self):
+        # several reverse searches in sequence on one oracle answer as each
+        # on a fresh oracle, and a bounded search is the fresh BFS cut short
+        for p, universe, refs in kernel_instances():
+            shared = _EdgeOracle(p, universe)
+            for t in refs + refs[::-1]:
+                fresh = _EdgeOracle(p, universe)
+                assert shared.sources_reaching(t) == fresh.sources_reaching(t), t
+                within = [shared.sources_reaching(t, levels) for levels in range(4)]
+                assert within[0] == 0
+                assert all(a & ~b == 0 for a, b in zip(within, within[1:]))
 
 
 def small_problems(rng, count):
