@@ -31,9 +31,10 @@ extends from a forward-only cursor, and rebuilds its student-ordered tuple
 only when it changed.
 
 On a seeded market of 5000 students and 20 schools with lists of four,
-run_ttc takes about 0.1 s, run_ct 0.6 s and run_ettc 1.5 s
-(`BENCH_12.json`).  ETTC still rebuilds its pair graph and walks every
-pair at every step, so it grows faster than the others.
+run_ttc takes about 0.1 s, run_ct 0.2 s and run_ettc 1.5 s (`BENCH_27.json`);
+CT clinches in its first step only, as a pointer leaves a student's first
+choice only once that school is full.  ETTC still rebuilds its pair graph
+and walks every pair at every step, so it grows faster than the others.
 """
 from __future__ import annotations
 
@@ -402,19 +403,16 @@ def run_ct(problem: Problem) -> tuple[Matching, MechanismTrace]:
         # a pointer moves only when its school fills, so these are the
         # students whose pointer did not move in that phase
         record.excluded = tuple(filterfalse(repointed.__contains__, remaining))
-        # iterated clinching: a school guarantees its seats to its heir
-        # window among the students still present, so guarantees improve as
-        # others clinch; excluded students compete but hold no guarantee
-        for round_no in count(1):
-            guarantees = {
-                s: tuple(filter(repointed.__contains__, ptrs.heirs(s))) for s in problem.schools
-            }
+        # iterated clinching, in step 1 only: a school guarantees its seats to
+        # its heir window, so guarantees improve as others clinch.  Later, only
+        # a repointed student may clinch, and her pointer left her first choice
+        # (where it started) only once that school filled, emptying its window
+        for round_no in count(1) if record.step == 1 else ():
+            guarantees = {s: ptrs.heirs(s) for s in problem.schools}
             # clinch pointing ignores current capacity: a student clinches
             # the school she lists first if it guarantees her a seat there
-            clinched = sorted(
-                (i for s, g in guarantees.items() for i in fans[s].intersection(g)),
-                key=problem.student_index,
-            )
+            clinched = sorted((i for s, g in guarantees.items() for i in fans[s].intersection(g)),
+                              key=problem.student_index)
             if not clinched:
                 break
             clinches = [(i, problem.preferences[i][0]) for i in clinched]

@@ -76,12 +76,12 @@ class Problem:
 
     The constructor raises ValidationError, whose `diagnostics` list every
     violation, unless all identifiers are distinct and can be written in a
-    matching literal (non-empty, with no whitespace or comma; a school's
-    name has no `->` and is not `self` in any case) and in an instance
-    document (no `#`, which starts a comment there, and no leading `:`,
-    which would end a keyed line's key), every school has an integer quota
-    of at least 1 (a bool is none) and a priority order that is a
-    permutation of the students, every student has a list of distinct known
+    matching literal (non-empty, with no whitespace or comma; a school's name
+    has no `->` and is not `self` in any case), in an instance document (no
+    `#`, which starts a comment there, and no leading `:`, which would end a
+    keyed line's key) and in a set of matchings (no `;`), every school has an
+    integer quota of at least 1 (a bool is none) and a priority order that is
+    a permutation of the students, every student has a list of distinct known
     schools, and no quota, list or order is given for an unknown name.
     """
 
@@ -115,15 +115,15 @@ class Problem:
                   if cidx[s] != k]
         diags += [f"identifier {name!r} used for both a student and a school"
                   for name in sorted(sidx.keys() & cidx.keys())]
-        # a matching literal writes `student->school` terms separated by
-        # commas, with `self` (any case) for staying unmatched; an instance
-        # document drops each line's text from a `#` on, and a name that
-        # starts with `:` would end a keyed line's key; the names joined by
-        # spaces split back into the names just when none is empty or holds
-        # whitespace, which spares most problems the per-name checks
+        # a matching literal writes `student->school` terms separated by commas,
+        # `self` (any case) for staying unmatched, and `;` separates a set's
+        # literals; an instance document drops each line's text from a `#` on,
+        # and a name that starts with `:` would end a keyed line's key; the
+        # names joined by spaces split back into the names just when none is
+        # empty or holds whitespace, sparing most problems the per-name checks
         names = list(dict.fromkeys(students + schools))
         text = " ".join(names)
-        if (text.split() != names or "," in text or "#" in text or " :" in f" {text}"
+        if (text.split() != names or any(c in text for c in ",#;") or " :" in f" {text}"
                 or "->" in " ".join(schools) or any(s.lower() == "self" for s in schools)):
             for name in names:
                 if name in cidx and name.lower() == "self":
@@ -132,6 +132,8 @@ class Problem:
                     diags.append(f"identifier {name!r} cannot be written in a matching literal")
                 elif "#" in name or name.startswith(":"):
                     diags.append(f"identifier {name!r} cannot be written in an instance document")
+                elif ";" in name:
+                    diags.append(f"identifier {name!r} cannot be written in a set of matchings")
         for s in schools:
             q = quotas.get(s)
             if q is None:

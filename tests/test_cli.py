@@ -125,6 +125,17 @@ class TestInstanceFormat:
             f"identifier {refused!r} cannot be written in an instance document"
         ]
 
+    def test_semicolon_in_a_name_exits_2(self, tmp_path, capsys):
+        # `check-set --set` and `find-sets` separate literals with `;`, so
+        # `i;1->self` would read back as two malformed terms
+        path = tmp_path / "semicolon.instance"
+        path.write_text("students: i;1 i2\nschools: s1\nquota s1 = 1\npref i;1: s1\n"
+                        "pref i2: s1\npriority s1: i2 i;1\n", encoding="utf-8")
+        code = main(["solve", str(path), "--mechanism", "ttc"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: identifier 'i;1' cannot be written in a set of matchings\n"
+
 
     @pytest.mark.parametrize("text, diagnostics", [
         (SMALL_INSTANCE + "nonsense here\n", ["line 9: unrecognised line 'nonsense here'"]),

@@ -428,6 +428,18 @@ class TestPhi:
         assert relabeled == expected
 
 
+def first_move_by(w: PathCertificate, coalition: Coalition) -> PathCertificate:
+    """The walkthrough w with its first move credited to coalition."""
+    first = MoveStep(w.matchings[0], w.matchings[1], coalition)
+    return PathCertificate(w.matchings, (first,) + w.steps[1:], FARSIGHTED)
+
+
+def one_move_by(p, w, coalition, **seats) -> PathCertificate:
+    """One move from the start of walkthrough w to the matching of seats."""
+    a, b = w.matchings[0], matching_of(p, **seats)
+    return PathCertificate((a, b), (MoveStep(a, b, coalition),), FARSIGHTED)
+
+
 class TestValidatePath:
     def test_walkthrough_accepted(self, trading_instance, walkthrough):
         assert validate_path(trading_instance, walkthrough) is None
@@ -452,6 +464,39 @@ class TestValidatePath:
         violation = validate_path(trading_instance, cert)
         assert violation is not None
         assert "distinct" in violation.condition
+
+    @pytest.mark.parametrize("broken, message", [
+        (lambda p, w: PathCertificate(w.matchings[:1], (), FARSIGHTED),
+         "path must contain at least two matchings"),
+        (lambda p, w: PathCertificate(w.matchings[:2] + w.matchings[:1], w.steps[:1] + (
+            MoveStep(w.matchings[1], w.matchings[0], Coalition({"i2"}, set())),)),
+         "matchings not distinct"),
+        (lambda p, w: PathCertificate(w.matchings, w.steps[:-1]),
+         "step count does not match matching count"),
+        (lambda p, w: PathCertificate(w.matchings, w.steps[1:2] + w.steps[:1] + w.steps[2:]),
+         "step 0: step endpoints disagree with the matching sequence"),
+        (lambda p, w: first_move_by(w, Coalition(set(), {"s1", "s2"})),
+         "step 0: coalition has no student"),
+        # i3 joins s1 without being in the coalition
+        (lambda p, w: first_move_by(w, Coalition({"i2"}, {"s1", "s2"})),
+         "step 0: coalition cannot enforce the move"),
+        # i4 leaves s1 for s3 at the path's end, which she ranks below s1
+        (lambda p, w: first_move_by(w, Coalition({"i2", "i3", "i4"}, {"s1", "s2"})),
+         "step 0: student i4 does not weakly improve"),
+        # s1 drops i4 and keeps i1, who stays where she was
+        (lambda p, w: one_move_by(
+            p, w, Coalition({"i1"}, {"s1"}), i1="s1", i2="s2", i3="s3", i4="self"),
+         "step 0: no strict improver in the coalition"),
+        # s1 is full and i2 ranks below i4, whose seat she takes
+        (lambda p, w: one_move_by(
+            p, w, Coalition({"i2"}, {"s1", "s2"}), i1="s1", i2="s1", i3="s3", i4="self"),
+         "step 0: school s1 cannot admit its newcomers"),
+        (lambda p, w: PathCertificate(w.matchings, w.steps, 0), "invalid horizon 0"),
+    ], ids=["one-matching", "repeat", "step-count", "endpoints", "no-student", "enforce",
+            "weakly-improve", "strict-improver", "admit", "horizon"])
+    def test_every_violation_message(self, trading_instance, walkthrough, broken, message):
+        violation = validate_path(trading_instance, broken(trading_instance, walkthrough))
+        assert str(violation) == message
 
 
 class TestValidatePathHorizon:

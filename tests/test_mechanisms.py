@@ -26,6 +26,7 @@ from schoolchoice import (
 from schoolchoice.mechanisms import _Pointers
 
 from conftest import matching_of, random_problem
+from test_paths import market_problem
 
 
 class TestTopTradingCycles:
@@ -310,6 +311,30 @@ class TestHeirsAgainstPriorityOrders:
                         capacity[s] -= 1
                 assert not clinches(guarantees()), (p, st.step)
                 matched.update(st.matches)
+
+    def test_ct_reads_no_heir_window_after_trading(self, monkeypatch):
+        # no student can clinch after step 1, so CT computes no guarantee
+        # once its first trading round has run
+        heirs, trade = _Pointers.heirs, _Pointers.trade
+
+        def traded(ptrs, *args, **kwargs):
+            ptrs.traded = True
+            return trade(ptrs, *args, **kwargs)
+
+        def guarded(ptrs, s):
+            if getattr(ptrs, "traded", False):
+                raise RuntimeError(f"heir window of {s} read after trading")
+            return heirs(ptrs, s)
+
+        monkeypatch.setattr(_Pointers, "trade", traded)
+        monkeypatch.setattr(_Pointers, "heirs", guarded)
+        rng = random.Random(1214)
+        problems = [_heir_problem(rng) for _ in range(self.PROBLEMS)]
+        problems += [market_problem(rng, rng.randint(10, 200), rng.randint(3, 8))
+                     for _ in range(10)]
+        for p in problems:
+            _, trace = run_ct(p)
+            assert all(not st.clinch_rounds for st in trace.steps[1:]), p
 
     def test_ettc_pairs_and_holders(self):
         rng = random.Random(1213)

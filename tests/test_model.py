@@ -156,6 +156,10 @@ class TestValidateProblem:
           "identifier 'i\\t3' cannot be written in a matching literal",
           "identifier 's 1' cannot be written in a matching literal",
           "identifier 's,2' cannot be written in a matching literal"]),
+        # `;` separates the literals of a set of matchings
+        ((("i;1", "i2"), ("s;",), {"s;": 1}, {"i;1": ("s;",), "i2": ()}, {"s;": ("i2", "i;1")}),
+         ["identifier 'i;1' cannot be written in a set of matchings",
+          "identifier 's;' cannot be written in a set of matchings"]),
         # a space in one name and an empty other name leave as many parts
         ((("i 1", ""), ("s1",), {"s1": 1}, {"i 1": (), "": ()}, {"s1": ("i 1", "")}),
          ["identifier 'i 1' cannot be written in a matching literal",
