@@ -66,8 +66,9 @@ the matchings with a path into it, and the matchings whose search was cut
 short (unknown, never a violation).  Under a horizon k a path of at most k
 moves is a full-lookahead path into its end, so each column starts from
 min(k, depth cap) levels of its reverse search; a run from outside the
-candidate set is skipped once it is in a column and otherwise stops at its
-first certified candidate, and a lone candidate's own run is skipped.
+candidate set is skipped once it is in a column and otherwise stops once
+it certifies a candidate (the batch at its depth cap may certify several),
+and a lone candidate's own run is skipped.
 `phi` searches only the targets under which some first move from its
 source holds.  The stable sets are the kernels of the
 digraph x -> y iff y is in phi(x), which `find_stable_sets` finds by a
@@ -799,9 +800,11 @@ def _reach_columns(
     min(k, depth cap) levels of its reverse search: every move of a path
     that short looks to its end, so it is a full-lookahead path.  Then one
     `_phi_horizon` per matching of the universe not yet in a column.  A run
-    from outside the candidate set stops at its first certified candidate,
-    so it sets the bit of one column it reaches, not of each.  The runs
-    from a multi-matching set's own members stay exhaustive; a lone
+    from outside the candidate set stops once it certifies a candidate, but
+    the batch at its depth cap may certify several, so it may set several
+    columns' bits.  No verdict depends on how many: an outsider needs one
+    column, and internal violations come only from the runs of a
+    multi-matching set's own members, which stay exhaustive.  A lone
     candidate's own run decides nothing, so it is skipped.
     """
     if k is None:

@@ -15,7 +15,8 @@ the schools plus the students it moves:
   over its priority order only skips students who left the pool, and the
   pool only shrinks;
 - pointers are refreshed when a school fills: only the students pointing
-  at it move on, and each school keeps the list of who points at it;
+  at it move on, each school keeps the list of who points at it, and
+  `execute` returns whom it re-pointed;
 - walks start from schools: every cycle but a self-cycle holds a school,
   so the graph is walked on the schools with a free seat, and the students
   whose lists ran out form the self-cycles.
@@ -28,7 +29,8 @@ pool (a clinch takes a guaranteed student, a trading cycle the school's
 top student, an ETTC cycle one of its heirs per student it seats there).
 So a window never holds too many members: it drops those who left,
 extends from a forward-only cursor, and rebuilds its student-ordered tuple
-only when it changed.
+only when it changed.  ETTC's holder cache rereads only what that cursor
+has read since, as a student it skipped had already left the pool.
 
 On a seeded market of 5000 students and 20 schools with lists of four,
 run_ttc takes about 0.1 s, run_ct 0.2 s and run_ettc 1.5 s (`BENCH_27.json`);
@@ -150,16 +152,6 @@ def _find_cycles(problem: Problem, succ: dict, top: dict, selfs) -> list[Cycle]:
     return out + [Cycle((i,), is_self_cycle=True) for i in selfs]
 
 
-def _top_priority(problem: Problem, s: str, pool, k: int) -> tuple:
-    """The k highest-priority students of pool at school s, in pool order."""
-    if k <= 0 or not pool:
-        return ()
-    row, sidx = problem._prio_rank[problem._cidx[s]], problem._sidx
-    ranks = [row[sidx[i]] for i in pool]
-    cut = heapq.nsmallest(k, ranks)[-1]
-    return tuple(i for i, r in zip(pool, ranks) if r <= cut)
-
-
 class _Pointers:
     """The pointing graph and heir windows of TTC, FCT, CT and ETTC, kept
     across their steps.
@@ -168,8 +160,6 @@ class _Pointers:
     SELF; a school points at the first student of its priority order still
     in the pool, which is the highest-priority member of its heir window.
     See the module docstring for why every cursor only moves forward.
-    `moved` collects the students whose pointer changed; FCT and CT drain
-    it.
     """
 
     def __init__(self, problem: Problem):
@@ -177,17 +167,14 @@ class _Pointers:
         self.capacity = {s: problem.quota(s) for s in problem.schools}
         self.assignment: dict = {}
         self.ptr: dict = {}
-        self.moved: set = set()
         self._pos = dict.fromkeys(problem.students, -1)
         self._pointing: dict = {s: [] for s in problem.schools}
         self._selfs: list = []
         self._order = problem.priorities
         self._top = dict.fromkeys(problem.schools, 0)
-        # heir windows: each school's members in student order, every
-        # student who ever joined it (in its priority order), and the
-        # position its cursor has read that order to
+        # heir windows: each school's members in student order, and the
+        # position its cursor has read its priority order to
         self._heirs: dict = dict.fromkeys(problem.schools, ())
-        self.joined: dict = {s: [] for s in problem.schools}
         self._cut = dict.fromkeys(problem.schools, 0)
         for i in problem.students:
             self._advance(i)
@@ -203,12 +190,12 @@ class _Pointers:
         else:
             self.ptr[i] = SELF
             self._selfs.append(i)
-        self.moved.add(i)
 
-    def execute(self, step: TraceStep, moves) -> None:
+    def execute(self, step: TraceStep, moves) -> set:
         """Match each (student, school or SELF) of moves, using up the seats,
-        then re-point the students of every school that filled."""
-        moves = list(moves)
+        then re-point the students of every school that filled; returns the
+        students it re-pointed."""
+        moves, repointed = list(moves), set()
         for i, a in moves:
             self.assignment[i] = a
             step.matches[i] = a
@@ -219,6 +206,8 @@ class _Pointers:
                 for i in self._pointing.pop(s, ()):
                     if i not in self.assignment:
                         self._advance(i)
+                        repointed.add(i)
+        return repointed
 
     def heirs(self, s: str) -> tuple:
         """The heir window of s, in student order: the first capacity[s]
@@ -236,14 +225,14 @@ class _Pointers:
         if added or len(kept) < len(heirs):
             # kept is one sorted run, which sorted() merges with the rest
             self._heirs[s] = tuple(sorted(kept + added, key=self.problem._sidx.__getitem__))
-            self.joined[s] += added
         return self._heirs[s]
 
-    def trade(self, step: TraceStep, held=()) -> None:
+    def trade(self, step: TraceStep, held=()) -> set:
         """One trading round: every cycle of the pointing graph executes.
 
         The unassigned students point; schools with a free seat point into
         the pool, which is the unassigned students plus those of held.
+        Returns the students it re-pointed.
         """
         assignment, succ, top = self.assignment, {}, {}
         for s in self.problem.schools:
@@ -260,7 +249,7 @@ class _Pointers:
                 succ[s] = self.ptr[j]
         selfs, self._selfs = [i for i in self._selfs if i not in assignment], []
         step.cycles = _find_cycles(self.problem, succ, top, selfs)
-        self.execute(step, (m for c in step.cycles for m in c.assignments().items()))
+        return self.execute(step, (m for c in step.cycles for m in c.assignments().items()))
 
     def run(self, name: str, step) -> tuple[Matching, MechanismTrace]:
         """Call step on a fresh TraceStep until every student is matched;
@@ -326,25 +315,24 @@ def run_da(problem: Problem) -> Matching:
 def run_ia(problem: Problem) -> Matching:
     capacity = {s: problem.quota(s) for s in problem.schools}
     assignment = {i: SELF for i in problem.students}
-    unassigned = list(problem.students)
+    prefs, sidx = problem.preferences, problem._sidx
+    # the students still applying: unmatched, with a choice left on their list
+    unassigned = [i for i in problem.students if prefs[i]]
     round_no = 0
     while unassigned:
         applicants: dict = {s: [] for s in problem.schools}
-        exhausted = []
         for i in unassigned:
-            prefs = problem.preferences[i]
-            if round_no >= len(prefs):
-                exhausted.append(i)
-            else:
-                applicants[prefs[round_no]].append(i)
-        for s in problem.schools:
-            admitted = _top_priority(problem, s, applicants[s], capacity[s])
-            capacity[s] -= len(admitted)
-            for i in admitted:
+            applicants[prefs[i][round_no]].append(i)
+        # each school admits its highest-priority applicants, up to its seats
+        for s, pool in applicants.items():
+            if len(pool) > capacity[s]:
+                row = problem._prio_rank[problem._cidx[s]]
+                pool = heapq.nsmallest(capacity[s], pool, key=lambda j: row[sidx[j]])
+            for i in pool:
                 assignment[i] = s
-        exhausted = set(exhausted)
-        unassigned = [i for i in unassigned if assignment[i] is SELF and i not in exhausted]
+            capacity[s] -= len(pool)
         round_no += 1
+        unassigned = [i for i in unassigned if assignment[i] is SELF and round_no < len(prefs[i])]
     return problem.matching(assignment)
 
 
@@ -357,23 +345,25 @@ def run_fct(problem: Problem) -> tuple[Matching, MechanismTrace]:
     # each school guarantees its seats to its heir window at the start
     guarantees = {s: ptrs.heirs(s) for s in problem.schools}
     guaranteed = {s: set(g) for s, g in guarantees.items()}
+    # the students whose pointer moved since the last clinch phase: all, at first
+    moved = problem.students
 
     def step(record: TraceStep) -> None:
+        nonlocal moved
         # clinch phase: a student pointing at a school where she is
         # guaranteed a seat is assigned there at once; no one else could
         # clinch last step, so only a student whose pointer moved can now
-        moved, ptrs.moved = sorted(ptrs.moved, key=problem.student_index), set()
         clinches = [
             (i, ptrs.ptr[i])
-            for i in moved
+            for i in sorted(moved, key=problem.student_index)
             if i not in ptrs.assignment and i in guaranteed.get(ptrs.ptr[i], ())
         ]
-        ptrs.execute(record, clinches)
+        repointed = ptrs.execute(record, clinches)
         record.clinch_rounds.append(ClinchRound(1, dict(guarantees), clinches))
         # trading phase: schools keep pointing at the step-start pool, so a
         # cycle through a just-clinched student does not form (such a
         # student points nowhere)
-        ptrs.trade(record, held={i for i, _ in clinches})
+        moved = repointed | ptrs.trade(record, held={i for i, _ in clinches})
 
     mu, trace = ptrs.run("fct", step)
     trace.guarantees_initial = guarantees
@@ -393,8 +383,8 @@ def run_ct(problem: Problem) -> tuple[Matching, MechanismTrace]:
         if prefs:
             fans[prefs[0]].add(i)
     remaining = list(problem.students)
-    # no one has traded before step 1, and every pointer was just set
-    repointed, ptrs.moved = ptrs.moved, set()
+    # the students whose pointer moved in the last trading phase: all, at first
+    repointed = set(problem.students)
 
     def step(record: TraceStep) -> None:
         nonlocal remaining, repointed
@@ -419,9 +409,7 @@ def run_ct(problem: Problem) -> tuple[Matching, MechanismTrace]:
             record.clinch_rounds.append(ClinchRound(round_no, guarantees, clinches))
             ptrs.execute(record, clinches)
         # one trading round among everyone left (excluded students included)
-        ptrs.moved.clear()
-        ptrs.trade(record)
-        repointed, ptrs.moved = ptrs.moved, set()
+        repointed = ptrs.trade(record)
         remaining = list(filterfalse(assignment.__contains__, remaining))
 
     return ptrs.run("ct", step)
@@ -433,24 +421,25 @@ def run_ct(problem: Problem) -> tuple[Matching, MechanismTrace]:
 
 def run_ettc(problem: Problem) -> tuple[Matching, MechanismTrace]:
     ptrs = _Pointers(problem)
-    assignment, sidx = ptrs.assignment, problem._sidx
-    rank = {s: dict(zip(order, range(len(order)))) for s, order in problem.priorities.items()}
+    assignment, sidx, order = ptrs.assignment, problem._sidx, problem.priorities
+    rank = {s: dict(zip(prio, range(len(prio)))) for s, prio in order.items()}
     # (school s, school t) -> (heirs of t, the one of them s ranks highest,
-    # how many students had joined t's window); kept across steps
+    # how far t's window cursor had read t's priority order); kept across steps
     holder_at: dict = {}
 
     def holder(s: str, t: str, heirs: tuple) -> str:
         cached = holder_at.get((s, t))
         if cached is not None and cached[0] is heirs:
             return cached[1]
+        cut = ptrs._cut[t]
         if cached is not None and cached[1] not in assignment:
-            # she is still an heir of t, so only those who joined since can
-            # outrank her
-            joined = filterfalse(assignment.__contains__, ptrs.joined[t][cached[2]:])
+            # she is still an heir of t, so only those the cursor has read
+            # since can outrank her; whom it skipped had left the pool already
+            joined = filterfalse(assignment.__contains__, order[t][cached[2]:cut])
             best = min((cached[1], *joined), key=rank[s].__getitem__)
         else:
             best = min(heirs, key=rank[s].__getitem__)
-        holder_at[(s, t)] = (heirs, best, len(ptrs.joined[t]))
+        holder_at[(s, t)] = (heirs, best, cut)
         return best
 
     def step(record: TraceStep) -> None:
@@ -483,19 +472,16 @@ def run_ettc(problem: Problem) -> tuple[Matching, MechanismTrace]:
                     head[t] = (holder(s, t, heirs[t]), t)
                 succ[(i, s)] = head[t]
         ptrs.execute(record, ((i, SELF) for i in sorted(alone, key=sidx.__getitem__)))
-        pairs = [pair for pair in pairs if pair[0] not in alone]
 
-        # cycles of the pair graph
+        # cycles of the pair graph; a walk from an alone student's pair,
+        # which has no successor, finds none
         pair_cycles = record.pair_cycles = _functional_cycles(succ, pairs)
 
-        # execution: every pair of a student points at the same school, which
-        # she takes; seats of her other cycle pairs pass to the pairs pointing
-        # at them, uninvolved seats return to the inheritance pool next step
-        takes: dict = {}
-        for cyc in pair_cycles:
-            for pair in cyc:
-                takes.setdefault(pair[0], succ[pair][1])
-        ptrs.execute(record, takes.items())
+        # execution: every pair of student i points at ptrs.ptr[i], which she
+        # takes; seats of her other cycle pairs pass to the pairs pointing at
+        # them, uninvolved seats return to the inheritance pool next step
+        takers = dict.fromkeys(i for cyc in pair_cycles for i, _ in cyc)
+        ptrs.execute(record, ((i, ptrs.ptr[i]) for i in takers))
 
     return ptrs.run("ettc", step)
 

@@ -7,7 +7,10 @@ timed against its ten second budget.
 import random
 import time
 
+import pytest
+
 from schoolchoice import (
+    FARSIGHTED,
     PathCertificate,
     build_path_to_ct,
     build_path_to_ettc,
@@ -251,3 +254,39 @@ def test_criterion_9_three_steps_ahead_suffice_for_ttc(
     assert time.time() - start < 10.0
     assert report.verdict == "stable" and not report.partial
     ok("9 ({TTC} stable at horizon 3, conclusively)")
+
+
+def _theorem_witnesses() -> dict:
+    """Instances on which the search answers `unstable` for {TTC}: the
+    first 3x2 witness, a 4x2 one, and four of 400 seeded 5x3 draws."""
+    witnesses = {
+        "3x2": Problem(
+            ("i1", "i2", "i3"), ("s1", "s2"), {"s1": 1, "s2": 2},
+            {"i1": ("s1",), "i2": ("s1",), "i3": ("s2",)},
+            {"s1": ("i3", "i1", "i2"), "s2": ("i2", "i1", "i3")},
+        ),
+        "4x2": Problem(
+            ("i1", "i2", "i3", "i4"), ("s1", "s2"), {"s1": 2, "s2": 2},
+            {"i1": ("s2", "s1"), "i2": ("s1", "s2"), "i3": ("s2", "s1"), "i4": ("s2", "s1")},
+            {"s1": ("i3", "i4", "i1", "i2"), "s2": ("i3", "i2", "i1", "i4")},
+        ),
+    }
+    rng = random.Random(2212)
+    draws = [random_problem(rng, 5, 3) for _ in range(400)]
+    witnesses.update((f"draw {n}", draws[n]) for n in (127, 136, 346, 370))
+    return witnesses
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the search asks an indifferent switcher, counted as an unreplaced "
+    "leaver, to strictly improve; the validator does not",
+)
+def test_paper_claim_ttc_is_a_farsighted_stable_set():
+    # the paper's first claim, under full lookahead and with three steps
+    verdicts = {
+        (name, horizon): check_stable_set(p, [run_ttc(p)[0]], horizon).verdict
+        for name, p in _theorem_witnesses().items()
+        for horizon in (FARSIGHTED, 3)
+    }
+    assert verdicts == dict.fromkeys(verdicts, "stable")

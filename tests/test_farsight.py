@@ -570,6 +570,15 @@ class TestPhiHorizon:
             assert not res.partial
             assert res.reachable == full
 
+    @pytest.mark.xfail(strict=True, reason="partial is set at the depth cap with no extension")
+    def test_depth_cap_that_cuts_no_path_is_not_partial(self):
+        # the one move from i1->s1 leads back to i1->self, already on the
+        # path, so a cap of one move cuts nothing short
+        p = Problem(("i1",), ("s1",), {"s1": 1}, {"i1": ("s1",)}, {"s1": ("i1",)})
+        start = matching_of(p, i1="self")
+        assert phi_horizon(p, start, 1, depth_cap=2).partial is False
+        assert phi_horizon(p, start, 1, depth_cap=1).partial is False
+
     def test_depth_cap_one_is_myopic(self, trading_instance, trading_goldens, trading_universe):
         res = phi_horizon(
             trading_instance, trading_goldens["da"], 1,

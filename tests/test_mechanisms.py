@@ -268,11 +268,89 @@ def _in_student_order(p: Problem, students) -> tuple:
     return tuple(sorted(students, key=p.student_index))
 
 
+def _best_with_a_seat(p: Problem, i: str, capacity: dict):
+    return next((s for s in p.preferences[i] if capacity[s] > 0), SELF)
+
+
+def _ia_by_definition(p: Problem) -> Matching:
+    """Immediate acceptance, round by round: every unmatched student applies
+    to her next choice, and each school admits its highest-priority
+    applicants up to the seats it has left."""
+    seats = {s: p.quota(s) for s in p.schools}
+    school_of = dict.fromkeys(p.students, SELF)
+    for r in range(len(p.schools)):
+        applying = {i for i in p.students if school_of[i] is SELF and r < len(p.preferences[i])}
+        for s in p.schools:
+            admitted = [i for i in p.priorities[s]
+                        if i in applying and p.preferences[i][r] == s][: seats[s]]
+            for i in admitted:
+                school_of[i] = s
+            seats[s] -= len(admitted)
+    return p.matching(school_of)
+
+
 class TestHeirsAgainstPriorityOrders:
-    """CT's guarantees and ETTC's seat endowments, recomputed from the
-    priority orders and the trace's own capacities and matches alone."""
+    """FCT's and CT's guarantees, clinches and exclusions, ETTC's seat
+    endowments and IA's outcome, recomputed from the priority orders and
+    the trace's own capacities and matches alone."""
 
     PROBLEMS = 200
+
+    def problems(self, seed: int) -> list:
+        rng = random.Random(seed)
+        problems = [_heir_problem(rng) for _ in range(self.PROBLEMS)]
+        return problems + [market_problem(rng, rng.randint(10, 200), rng.randint(3, 8))
+                           for _ in range(20)]
+
+    def test_fct_guarantees_and_clinches(self):
+        # a school guarantees its seats to its first quota students by
+        # priority, once; each step a student clinches the best school with
+        # a seat left if it guarantees her one
+        clinched = 0
+        for p in self.problems(1215):
+            _, trace = run_fct(p)
+            g = {s: _in_student_order(p, p.priorities[s][: p.quota(s)]) for s in p.schools}
+            assert trace.guarantees_initial == g, p
+            matched: set = set()
+            for st in trace.steps:
+                [r] = st.clinch_rounds
+                assert (r.round, r.guarantees) == (1, g), (p, st.step)
+                best = {i: _best_with_a_seat(p, i, st.capacities)
+                        for i in p.students if i not in matched}
+                assert r.clinches == [(i, s) for i, s in best.items()
+                                      if s is not SELF and i in g[s]], (p, st.step)
+                clinched += len(r.clinches)
+                matched.update(st.matches)
+        assert clinched
+
+    def test_ct_excluded(self):
+        # after step 1, the students who skip clinching are the unmatched
+        # ones whose pointer school in the last trading round, the best with
+        # a seat once that step's clinches took theirs, still has a seat
+        excluded = 0
+        for p in self.problems(1216):
+            _, trace = run_ct(p)
+            assert trace.steps[0].excluded == (), p
+            matched: set = set()
+            for last, st in zip(trace.steps, trace.steps[1:]):
+                capacity = dict(last.capacities)
+                for r in last.clinch_rounds:
+                    for _, s in r.clinches:
+                        capacity[s] -= 1
+                matched.update(last.matches)
+                pointer = {i: _best_with_a_seat(p, i, capacity)
+                           for i in p.students if i not in matched}
+                assert st.excluded == tuple(
+                    i for i, s in pointer.items() if s is not SELF and st.capacities[s] > 0
+                ), (p, st.step)
+                excluded += len(st.excluded)
+        assert excluded
+
+    def test_ia_against_its_definition(self):
+        rng = random.Random(1217)
+        for _ in range(500):
+            p = market_problem(rng, rng.randint(10, 80), rng.randint(3, 8))
+            assert run_ia(p) == _ia_by_definition(p), p
 
     def test_ct_guarantees_and_clinches(self):
         rng = random.Random(1212)
