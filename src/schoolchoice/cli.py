@@ -5,13 +5,15 @@ before the subcommand runs, and writes a deterministic report to standard
 output, as text or JSON.  Input files are read as UTF-8, a leading
 byte-order mark dropped.  Exit codes: 0 success, 1 negative verdict on a
 boolean query (unstable set, invalid path, unstable matching), 2 malformed
-input, 3 an exhaustive computation exceeded its cap.
+input, 3 an exhaustive computation exceeded its cap, 141 standard output
+closed early (a shell's status for a writer stopped by SIGPIPE).
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import paths as paths_mod
@@ -307,7 +309,12 @@ def main(argv=None) -> int:
             text = sys.stdin.buffer.read().decode("utf-8-sig")
         else:
             text = _read(args.instance)
-        return args.fn(parse_instance(text), args)
+        code = args.fn(parse_instance(text), args)
+        sys.stdout.flush()  # a closed reader shows here, not at shutdown
+        return code
+    except BrokenPipeError:  # no error line; devnull takes the flush at shutdown
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping
 
 
 class SchoolChoiceError(Exception):
@@ -46,9 +46,6 @@ class _SelfToken:
 
     def __repr__(self):
         return "SELF"
-
-    def __deepcopy__(self, memo):
-        return self
 
 
 SELF = _SelfToken()
@@ -347,61 +344,45 @@ def enumerate_matchings(
     Every student may be assigned to any school with a free seat or to SELF,
     regardless of her preferences; individual rationality is a separate
     predicate.  Raises CapacityError once more than `cap` matchings exist,
-    and ValueError, as `iter_matchings` does, unless cap is an int >= 1.
+    and ValueError unless cap is an int >= 1.
     """
-    return list(iter_matchings(problem, cap=cap))
-
-
-def iter_matchings(
-    problem: Problem, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[Matching]:
-    _count(cap, 1, "cap")  # on the call, not on the first matching
-    n = len(problem.students)
-    m = len(problem.schools)
+    _count(cap, 1, "cap")
+    n, m = len(problem.students), len(problem.schools)
     remaining = list(problem._quota_vec)
     vec = [m] * n
-    produced = 0
+    out = []
 
     def rec(k: int):
-        nonlocal produced
         if k == n:
-            produced += 1
-            if produced > cap:
+            if len(out) == cap:
                 raise CapacityError(
                     f"more than {cap} matchings; raise the cap to enumerate this instance"
                 )
-            yield Matching._from_vector(problem, tuple(vec))
+            out.append(Matching._from_vector(problem, tuple(vec)))
             return
         for c in range(m):
             if remaining[c] > 0:
                 remaining[c] -= 1
                 vec[k] = c
-                yield from rec(k + 1)
+                rec(k + 1)
                 remaining[c] += 1
         vec[k] = m
-        yield from rec(k + 1)
+        rec(k + 1)
 
-    return rec(0)
+    rec(0)
+    return out
 
 
 def is_individually_rational(problem: Problem, mu: Matching) -> bool:
     """True iff every matched student finds her school acceptable."""
-    for i in problem.students:
-        a = mu.school_of(i)
-        if a is not SELF and not problem.acceptable(i, a):
-            return False
-    return True
+    return all(a is SELF or problem.acceptable(i, a) for i, a in mu.assignment.items())
 
 
 def is_non_wasteful(problem: Problem, mu: Matching) -> bool:
     """True iff no student prefers a school with a free seat to her assignment."""
     rosters = mu.rosters
-    for i in problem.students:
-        own = mu.school_of(i)
-        for s in problem.schools:
-            if problem.prefers(i, s, own) and len(rosters[s]) < problem.quota(s):
-                return False
-    return True
+    free = [s for s in problem.schools if len(rosters[s]) < problem.quota(s)]
+    return not any(problem.prefers(i, s, mu.school_of(i)) for i in problem.students for s in free)
 
 
 def justified_envy_witnesses(problem: Problem, mu: Matching) -> list[tuple[str, str, str]]:
@@ -447,15 +428,22 @@ def pareto_dominates(problem: Problem, mu_new: Matching, mu_old: Matching) -> bo
     return strict
 
 
-def is_pareto_efficient(
-    problem: Problem,
-    mu: Matching,
-    universe: Sequence[Matching] | None = None,
-) -> bool:
-    """Exhaustive check that no feasible matching (of universe, if given) Pareto dominates mu."""
-    if universe is None:
-        universe = iter_matchings(problem)
-    for other in universe:
-        if pareto_dominates(problem, other, mu):
-            return False
-    return True
+def is_pareto_efficient(problem: Problem, mu: Matching) -> bool:
+    """True iff no feasible matching Pareto dominates mu; no search is needed.
+
+    mu is efficient just when it is individually rational and non-wasteful and
+    no schools form a trading cycle, a student at each strictly preferring the
+    next (Abraham, Cechlárová, Manlove and Mehlhorn, 2004): peel off schools
+    whose students prefer only schools peeled off, until none or a cycle is left.
+    """
+    if not (is_individually_rational(problem, mu) and is_non_wasteful(problem, mu)):
+        return False
+    wants = {s: set() for s in problem.schools}
+    for i, s in mu.assignment.items():
+        if s is not SELF:
+            wants[s].update(problem.preferences[i][:problem.pref_rank(i, s)])
+    while True:
+        left = {s: better for s, better in wants.items() if not better.isdisjoint(wants)}
+        if len(left) == len(wants):
+            return not left
+        wants = left

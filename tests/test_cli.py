@@ -1,8 +1,11 @@
 import argparse
 import io
+import itertools
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from collections import Counter
 
@@ -17,6 +20,7 @@ from schoolchoice.textio import (
     parse_matching,
     serialize_instance,
 )
+import schoolchoice
 from schoolchoice import SELF, Matching, Problem, ValidationError, build_path_to_ttc, farsight
 
 from conftest import random_problem
@@ -51,6 +55,8 @@ priority s2: i2 i1
 
 
 START = "i1->s1, i2->s2, i3->s3, i4->s1"
+TTC = "i1->s1, i2->s1, i3->s2, i4->s3"
+DA = "i1->s1, i2->s2, i3->s1, i4->s3"
 
 
 def with_first_coalition(cert, coalition):
@@ -528,6 +534,22 @@ class TestCommands:
         assert code == 3
         assert "error" in err
 
+    def test_properties_needs_no_enumeration(self, tmp_path, capsys):
+        # the instance of test_capacity_exit_code, past the enumeration cap
+        students = " ".join(f"i{k}" for k in range(1, 13))
+        lines = [f"students: {students}", "schools: s1 s2 s3 s4"]
+        lines += [f"quota s{j} = 3" for j in range(1, 5)]
+        lines += [f"pref i{k}: s1 s2 s3 s4" for k in range(1, 13)]
+        lines += [f"priority s{j}: {students}" for j in range(1, 5)]
+        big = tmp_path / "big.instance"
+        big.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["solve", str(big), "--mechanism", "ttc"]) == 0
+        ttc = capsys.readouterr().out.strip()
+        assert main(["properties", str(big), "--matching", ttc]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1] == "pareto efficient: yes"
+
     def test_cut_stable_set_search_exits_3(self, instance_file, capsys, monkeypatch):
         # a cut search prints no list, not even a partial one
         monkeypatch.setattr(farsight, "DEFAULT_NODE_BUDGET", 1)
@@ -584,6 +606,135 @@ class TestCommands:
         second = capsys.readouterr().out
         assert first == second
         assert first.strip().splitlines() == sorted(first.strip().splitlines())
+
+
+#: A CT run in which i1 is held back from clinching at step 2: her pointer
+#: school s2 has a seat at the step's start.
+HELD_BACK_INSTANCE = """\
+students: i1 i2 i3 i4 i5
+schools: s1 s2 s3
+quota s1 = 2
+quota s2 = 2
+quota s3 = 7
+pref i1: s1 s2 s3
+pref i2: s1 s2 s3
+pref i3: s1 s3
+pref i4: s2 s1 s3
+pref i5: s1 s2 s3
+priority s1: i5 i2 i4 i3 i1
+priority s2: i2 i3 i1 i5 i4
+priority s3: i4 i3 i1 i5 i2
+"""
+
+
+class TestReportLines:
+    """The exact text of report lines that the other tests never print."""
+
+    def test_phi_partial_line(self, instance_file, capsys):
+        args = ["phi", instance_file, "--from", DA, "--horizon", "3", "--depth-cap"]
+        assert main(args + ["1"]) == 0
+        assert capsys.readouterr().out == (
+            "PARTIAL: search cut off before exhausting all paths\n"
+        )
+        # the cut is real: one more move reaches TTC
+        assert main(args + ["2"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == TTC
+
+    def test_check_set_internal_violation_line(self, instance_file, capsys):
+        assert main(["check-set", instance_file, "--set", f"{TTC}; {DA}"]) == 1
+        assert capsys.readouterr().out == (
+            "verdict: unstable\n"
+            f"internal violation: {TTC} reachable from {DA}\n"
+        )
+
+    def test_check_set_partial_line(self, instance_file, capsys, monkeypatch):
+        monkeypatch.setattr(farsight, "DEFAULT_NODE_BUDGET", 1)
+        assert main(["check-set", instance_file, "--set", DA, "--horizon", "3"]) == 1
+        assert capsys.readouterr().out == (
+            "verdict: inconclusive\n"
+            "PARTIAL: horizon search cut off; verdict not conclusive\n"
+        )
+
+    def test_enumerate_list(self, instance_file, capsys):
+        problem = parse_instance(TRADING_INSTANCE)
+        names = problem.schools + ("self",)
+        literals = sorted(
+            ", ".join(f"{i}->{a}" for i, a in zip(problem.students, combo))
+            for combo in itertools.product(names, repeat=len(problem.students))
+            if all(combo.count(s) <= problem.quota(s) for s in problem.schools)
+        )
+        assert main(["enumerate", instance_file, "--list"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["115"] + literals
+        assert literals[0] == TTC and literals[-1] == "i1->self, i2->self, i3->self, i4->self"
+        assert main(["enumerate", instance_file, "--list", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"count": 115, "matchings": literals}
+
+    def test_seat_endowment_and_seat_cycle_lines(self, instance_file, capsys):
+        assert main(["solve", instance_file, "--mechanism", "ettc", "--trace"]) == 0
+        assert capsys.readouterr().out == f"""\
+{TTC}
+step 1 (capacity s1=2 s2=1 s3=1)
+  seat endowments: (i1,s1) (i1,s2) (i2,s3) (i3,s1)
+  seat cycle: (i1,s1)
+  matched: i1->s1
+step 2 (capacity s1=1 s2=1 s3=1)
+  seat endowments: (i2,s2) (i2,s3) (i3,s1)
+  seat cycle: (i2,s2) -> (i3,s1)
+  matched: i2->s1, i3->s2
+step 3 (capacity s1=0 s2=0 s3=1)
+  seat endowments: (i4,s3)
+  seat cycle: (i4,s3)
+  matched: i4->s3
+"""
+
+    def test_held_back_line(self, tmp_path, capsys):
+        path = tmp_path / "held.instance"
+        path.write_text(HELD_BACK_INSTANCE, encoding="utf-8")
+        assert main(["solve", str(path), "--mechanism", "ct", "--trace"]) == 0
+        assert capsys.readouterr().out == """\
+i1->s2, i2->s1, i3->s3, i4->s2, i5->s1
+step 1 (capacity s1=2 s2=2 s3=7)
+  clinch round 1: i2->s1, i5->s1
+  cycle (s2,i3,s3,i4)
+  matched: i2->s1, i3->s3, i4->s2, i5->s1
+step 2 (capacity s1=0 s2=1 s3=6)
+  held back from clinching: i1
+  cycle (s2,i1)
+  matched: i1->s2
+"""
+
+    @pytest.mark.parametrize("edit, diagnostic", [
+        (lambda c: {**c, "steps": {}}, "'steps' must be a list"),
+        (lambda c: {**c, "steps": [], "matchings": c["matchings"][:2]},
+         "0 steps for 2 matchings"),
+    ], ids=["steps-not-a-list", "steps-short"])
+    def test_certificate_diagnostic(self, edit, diagnostic, instance_file, tmp_path, capsys):
+        problem = parse_instance(TRADING_INSTANCE)
+        cert = json.loads(dump_certificate(
+            build_path_to_ttc(problem, parse_matching(problem, START))
+        ))
+        cert_file = tmp_path / "certificate.json"
+        cert_file.write_text(json.dumps(edit(cert)), encoding="utf-8")
+        assert main(["validate-path", instance_file, "--file", str(cert_file)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {diagnostic}\n")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_exits_141_quietly(self, unbuffered, instance_file):
+        # a shell's status for a writer stopped by SIGPIPE; 2 would say the
+        # input was malformed
+        src = os.path.dirname(os.path.dirname(schoolchoice.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "schoolchoice.cli", "enumerate", instance_file, "--list"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()  # before the child has started, let alone written
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 #: Every subcommand with the arguments it requires; CERT stands for the

@@ -787,6 +787,13 @@ class TestStableSets:
 class TestRefusedArguments:
     """Arguments the searches refuse with a ValueError rather than answer."""
 
+    @pytest.mark.parametrize("horizon", [FARSIGHTED, 3])
+    def test_empty_candidate_set(self, trading_instance, trading_universe, horizon):
+        # refused before any search, under full lookahead and a horizon alike
+        with pytest.raises(ValueError) as err:
+            check_stable_set(trading_instance, [], horizon, universe=trading_universe)
+        assert str(err.value) == "candidate set must be nonempty"
+
     @pytest.mark.parametrize("search", [
         "phi", "phi_horizon", "check_stable_set", "reachability_matrix", "find_stable_sets",
     ])

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from collections import Counter
 
@@ -211,12 +213,28 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             enumerate_matchings(p, cap=1000)
 
+    def test_cap_is_the_most_matchings_listed(self, trading_instance, trading_universe):
+        assert enumerate_matchings(trading_instance, cap=115) == trading_universe
+        with pytest.raises(CapacityError) as err:
+            enumerate_matchings(trading_instance, cap=114)
+        assert str(err.value) == (
+            "more than 114 matchings; raise the cap to enumerate this instance"
+        )
+
     def test_includes_irrational_assignments(self):
         p = Problem(
             ("i1",), ("s1",), {"s1": 1}, {"i1": ()}, {"s1": ("i1",)}
         )
         # i1 finds no school acceptable, yet the assignment to s1 is feasible
         assert len(enumerate_matchings(p)) == 2
+
+
+class TestSelfToken:
+    def test_copies_and_pickles_are_the_sentinel(self):
+        assert copy.copy(SELF) is SELF
+        assert copy.deepcopy(SELF) is SELF
+        assert copy.deepcopy({"i1": SELF})["i1"] is SELF
+        assert pickle.loads(pickle.dumps(SELF)) is SELF
 
 
 class TestMatchingInvariants:
@@ -397,17 +415,25 @@ class TestParetoDominance:
 
 
 class TestParetoEfficiency:
-    def test_trading_outcome_efficient(self, trading_instance, trading_goldens, trading_universe):
-        assert is_pareto_efficient(
-            trading_instance, trading_goldens["ttc"], universe=trading_universe
-        )
+    def test_trading_outcome_efficient(self, trading_instance, trading_goldens):
+        assert is_pareto_efficient(trading_instance, trading_goldens["ttc"])
 
-    def test_deferred_acceptance_dominated(self, trading_instance, trading_goldens, trading_universe):
-        assert not is_pareto_efficient(
-            trading_instance, trading_goldens["da"], universe=trading_universe
-        )
+    def test_deferred_acceptance_dominated(self, trading_instance, trading_goldens):
+        assert not is_pareto_efficient(trading_instance, trading_goldens["da"])
 
-    def test_immediate_acceptance_efficient(self, trading_instance, trading_goldens, trading_universe):
-        assert is_pareto_efficient(
-            trading_instance, trading_goldens["ia"], universe=trading_universe
-        )
+    def test_immediate_acceptance_efficient(self, trading_instance, trading_goldens):
+        assert is_pareto_efficient(trading_instance, trading_goldens["ia"])
+
+    def test_rule_matches_brute_force(self):
+        # the trading-cycle rule against the definition, on every feasible
+        # matching: individually irrational and wasteful ones included
+        rng = random.Random(31)
+        efficient = 0
+        for _ in range(300):
+            p = random_problem(rng, 5, 3, full_prefs=rng.random() < 0.3)
+            universe = enumerate_matchings(p)
+            for mu in universe:
+                dominated = any(pareto_dominates(p, other, mu) for other in universe)
+                assert is_pareto_efficient(p, mu) is not dominated, mu
+                efficient += not dominated
+        assert efficient > 500
