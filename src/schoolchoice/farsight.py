@@ -4,14 +4,14 @@ Two layers live here and they are deliberately not identical:
 
 * The *certificate checkers* (`can_enforce`, `school_move_admissible` and
   `validate_path`, also named `validate_path_horizon`) verify a given
-  sequence of matchings plus coalitions against the enforcement and
-  improvement conditions exactly as stated: coalition students must weakly
-  prefer the lookahead matching of the certificate's horizon with at least
-  one strict improver, and a school in the coalition whose gains push it
-  past capacity must replace each departing student with a higher-priority
-  newcomer.  A coalition may carry members whose own assignment does not
-  change; they are harmless as long as they satisfy the improvement
-  condition.
+  sequence of matchings plus one coalition per move against the
+  enforcement and improvement conditions exactly as stated: coalition
+  students must weakly prefer the lookahead matching of the certificate's
+  horizon with at least one strict improver, and a school in the coalition
+  whose gains push it past capacity must replace each departing student
+  with a higher-priority newcomer.  A coalition may carry members whose
+  own assignment does not change; they are harmless as long as they
+  satisfy the improvement condition.
 
 * The *search* (`phi`, `phi_horizon`, `reachability_matrix` and the
   stable-set checks) decides whether an improving path exists.  The
@@ -133,8 +133,8 @@ class Coalition:
 
 @dataclass(frozen=True)
 class MoveStep:
-    source: Matching
-    target: Matching
+    """The coalition of one move; its endpoints are the certificate's matchings."""
+
     coalition: Coalition
 
 
@@ -142,6 +142,7 @@ class MoveStep:
 class PathCertificate:
     """A farsighted improving path: matchings plus the coalition per move.
 
+    steps[k].coalition enforces the move from matchings[k] to matchings[k + 1].
     horizon is FARSIGHTED for full lookahead or an integer k >= 1 when the
     moving students only compare against the matching k steps ahead.
     """
@@ -585,8 +586,6 @@ def validate_path(problem: Problem, cert: PathCertificate) -> PathViolation | No
         return PathViolation(-1, "step count does not match matching count")
     last = len(mus) - 1
     for l, step in enumerate(cert.steps):
-        if step.source != mus[l] or step.target != mus[l + 1]:
-            return PathViolation(l, "step endpoints disagree with the matching sequence")
         look = mus[last] if k is None else mus[min(l + k, last)]
         condition = _step_violation(problem, mus[l], mus[l + 1], step.coalition, look)
         if condition is not None:
@@ -605,6 +604,11 @@ validate_path_horizon = validate_path
 def _lookahead(horizon) -> int | None:
     """The moves a horizon looks ahead: None for FARSIGHTED, else an int k >= 1."""
     return None if horizon == FARSIGHTED else _count(horizon, 1, "horizon", f"{FARSIGHTED!r} or ")
+
+
+def _depth_cap(cap) -> int:
+    """A horizon search's depth cap: `DEFAULT_DEPTH_CAP` for None, else an int >= 0."""
+    return DEFAULT_DEPTH_CAP if cap is None else _count(cap, 0, "depth_cap", "None or ")
 
 
 def _index(oracle: _EdgeOracle, mu: Matching) -> int:
@@ -698,20 +702,15 @@ def phi_horizon(
     """
     if _lookahead(k) is None:
         raise ValueError("phi_horizon needs an integer horizon; phi is full lookahead")
-    _count(0 if depth_cap is None else depth_cap, 0, "depth_cap", "None or ")
+    cap = _depth_cap(depth_cap)
     _count(node_budget, 1, "node_budget")
     uni, oracle = _space(problem, universe)
-    reachable, partial = _phi_horizon(oracle, _index(oracle, mu), k, depth_cap, node_budget)
+    reachable, partial = _phi_horizon(oracle, _index(oracle, mu), k, cap, node_budget)
     return HorizonResult(reachable={uni[t] for t in _members(reachable)}, partial=partial)
 
 
 def _phi_horizon(
-    oracle: _EdgeOracle,
-    src: int,
-    k: int,
-    depth_cap: int | None,
-    node_budget: int,
-    goal: int = 0,
+    oracle: _EdgeOracle, src: int, k: int, depth_cap: int, node_budget: int, goal: int = 0
 ) -> tuple[int, bool]:
     """`phi_horizon` on universe indices, reusing the oracle's memos.
 
@@ -726,10 +725,7 @@ def _phi_horizon(
     frame returns, and every frame above it expands no further child, so
     the result then only says that a goal was reached.
     """
-    if depth_cap is None:
-        depth_cap = min(len(oracle.vecs), DEFAULT_DEPTH_CAP)
     succ, direct, looks, everything = oracle.succ_mask, oracle.direct, oracle.looks, oracle.all
-    path = [src]
     moves: list[int] = []  # per move on the path, the lookaheads under which it holds
     reachable = 0
     partial = False
@@ -741,13 +737,12 @@ def _phi_horizon(
             got &= mask
         return got
 
-    def dfs(L: int, onpath: int):
+    def dfs(L: int, x: int, onpath: int):
         nonlocal partial, budget, reachable
         if budget <= 0:
             partial = True
             return
         budget -= 1
-        x = path[L]
         # certify the endpoint if every move whose window is still open
         # holds against it; the others held on extension
         if L and window(L - k + 1, L) >> x & 1:
@@ -774,13 +769,11 @@ def _phi_horizon(
             low = cand & -cand
             cand ^= low
             y = low.bit_length() - 1
-            path.append(y)
             moves.append(looks(x, y) if k > 1 else everything)
-            dfs(L + 1, onpath | low)
-            path.pop()
+            dfs(L + 1, y, onpath | low)
             moves.pop()
 
-    dfs(0, 1 << src)
+    dfs(0, src, 1 << src)
     del dfs  # break its self-reference, so the oracle is freed without a gc pass
     return reachable, partial
 
@@ -811,8 +804,7 @@ def _reach_columns(
         return [oracle.sources_reaching(t) for t in cand], 0
     column = {t: j for j, t in enumerate(cand)}
     goal = sum(1 << t for t in cand)
-    cap = min(len(oracle.vecs), DEFAULT_DEPTH_CAP) if depth_cap is None else depth_cap
-    cols = [oracle.sources_reaching(t, min(k, cap)) & ~goal for t in cand]
+    cols = [oracle.sources_reaching(t, min(k, depth_cap)) & ~goal for t in cand]
     covered, cut = reduce(or_, cols, 0), 0
     for x in range(len(oracle.vecs)):
         if x in column and len(cand) == 1 or covered >> x & 1:
@@ -845,12 +837,12 @@ def check_stable_set(
     if not cand:
         raise ValueError("candidate set must be nonempty")
     k = _lookahead(horizon)
-    _count(0 if depth_cap is None else depth_cap, 0, "depth_cap", "None or ")
+    cap = _depth_cap(depth_cap)
     if k is None and depth_cap is not None:
         raise ValueError("a depth cap needs a horizon")
     uni, oracle = _space(problem, universe)
     idx = [_index(oracle, mu) for mu in cand]
-    cols, cut = _reach_columns(oracle, idx, k, depth_cap)
+    cols, cut = _reach_columns(oracle, idx, k, cap)
     internal = [(a, b) for a in idx for b, col in zip(idx, cols) if a != b and col >> a & 1]
     inside = sum(1 << t for t in idx)
     uncovered = oracle.all & ~inside
@@ -880,7 +872,7 @@ def find_singleton_stable_sets(
     that every other matching has a path into."""
     k = _lookahead(horizon)
     uni, oracle = _space(problem, universe)
-    cols, _ = _reach_columns(oracle, range(len(uni)), k, None)
+    cols, _ = _reach_columns(oracle, range(len(uni)), k, DEFAULT_DEPTH_CAP)
     return sort_matchings(mu for t, mu in enumerate(uni) if cols[t] == oracle.all & ~(1 << t))
 
 

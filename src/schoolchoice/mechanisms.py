@@ -3,13 +3,14 @@
 run_ttc / run_fct / run_ct / run_ettc return (matching, trace); run_da and
 run_ia return just the matching.  Traces record, step by step, remaining
 capacities, clinch rounds, cycles and the matches they formed, which is
-enough to replay or audit a run.
+enough to replay or audit a run; a step's number, like a clinch round's,
+is its position, counted from 1.
 
 TTC, FCT, CT and ETTC are each a step function on one pointer state
 (`_Pointers`) kept across their steps.  One loop, `_Pointers.run`, drives
-all four: it numbers the steps, records the capacities each starts from,
-and stops a run whose step matched no one.  A trading step costs about
-the schools plus the students it moves:
+all four: it records the capacities each step starts from, and stops a run
+whose step matched no one.  A trading step costs about the schools plus
+the students it moves:
 - cursors are monotone: a student's cursor over her list only skips
   schools without a free seat, and capacities only fall; a school's cursor
   over its priority order only skips students who left the pool, and the
@@ -89,14 +90,12 @@ class Cycle:
 
 @dataclass
 class ClinchRound:
-    round: int
     guarantees: dict
     clinches: list  # [(student, school)]
 
 
 @dataclass
 class TraceStep:
-    step: int
     capacities: dict
     clinch_rounds: list = field(default_factory=list)
     cycles: list = field(default_factory=list)
@@ -256,7 +255,7 @@ class _Pointers:
         a step that matches no one raises AssertionError."""
         steps = []
         while len(self.assignment) < len(self.problem.students):
-            record = TraceStep(step=len(steps) + 1, capacities=dict(self.capacity))
+            record = TraceStep(dict(self.capacity))
             step(record)
             steps.append(record)
             if not record.matches:
@@ -359,7 +358,7 @@ def run_fct(problem: Problem) -> tuple[Matching, MechanismTrace]:
             if i not in ptrs.assignment and i in guaranteed.get(ptrs.ptr[i], ())
         ]
         repointed = ptrs.execute(record, clinches)
-        record.clinch_rounds.append(ClinchRound(1, dict(guarantees), clinches))
+        record.clinch_rounds.append(ClinchRound(dict(guarantees), clinches))
         # trading phase: schools keep pointing at the step-start pool, so a
         # cycle through a just-clinched student does not form (such a
         # student points nowhere)
@@ -393,11 +392,11 @@ def run_ct(problem: Problem) -> tuple[Matching, MechanismTrace]:
         # a pointer moves only when its school fills, so these are the
         # students whose pointer did not move in that phase
         record.excluded = tuple(filterfalse(repointed.__contains__, remaining))
-        # iterated clinching, in step 1 only: a school guarantees its seats to
-        # its heir window, so guarantees improve as others clinch.  Later, only
-        # a repointed student may clinch, and her pointer left her first choice
-        # (where it started) only once that school filled, emptying its window
-        for round_no in count(1) if record.step == 1 else ():
+        # iterated clinching in step 1 only, the one step that starts with no one
+        # matched: a school guarantees its seats to its heir window, so guarantees
+        # improve as others clinch.  Later, only a repointed student may clinch, and
+        # her pointer left her first choice only once that school filled, emptying its window
+        for _ in count() if not assignment else ():
             guarantees = {s: ptrs.heirs(s) for s in problem.schools}
             # clinch pointing ignores current capacity: a student clinches
             # the school she lists first if it guarantees her a seat there
@@ -406,7 +405,7 @@ def run_ct(problem: Problem) -> tuple[Matching, MechanismTrace]:
             if not clinched:
                 break
             clinches = [(i, problem.preferences[i][0]) for i in clinched]
-            record.clinch_rounds.append(ClinchRound(round_no, guarantees, clinches))
+            record.clinch_rounds.append(ClinchRound(guarantees, clinches))
             ptrs.execute(record, clinches)
         # one trading round among everyone left (excluded students included)
         repointed = ptrs.trade(record)

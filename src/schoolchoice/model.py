@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from math import comb
 from typing import Iterable, Mapping
 
 
@@ -343,34 +344,40 @@ def enumerate_matchings(
 
     Every student may be assigned to any school with a free seat or to SELF,
     regardless of her preferences; individual rationality is a separate
-    predicate.  Raises CapacityError once more than `cap` matchings exist,
-    and ValueError unless cap is an int >= 1.
+    predicate.  Counts them first and, building none, raises CapacityError
+    when more than `cap` exist; ValueError unless cap is an int >= 1.
     """
     _count(cap, 1, "cap")
     n, m = len(problem.students), len(problem.schools)
-    remaining = list(problem._quota_vec)
-    vec = [m] * n
-    out = []
-
-    def rec(k: int):
-        if k == n:
-            if len(out) == cap:
+    if (m + 1) ** n > cap:
+        # ways[j]: the ways to seat j chosen students at the schools so far; the
+        # matchings that use only those schools only grow in number, school by school
+        ways, seats = [1] + [0] * n, 0
+        for q in problem._quota_vec:
+            seats = min(n, seats + q)
+            ways[:seats + 1] = [sum(comb(j, t) * ways[j - t] for t in range(min(q, j) + 1))
+                                for j in range(seats + 1)]
+            if sum(comb(n, j) * w for j, w in enumerate(ways[:seats + 1])) > cap:
                 raise CapacityError(
                     f"more than {cap} matchings; raise the cap to enumerate this instance"
                 )
-            out.append(Matching._from_vector(problem, tuple(vec)))
-            return
-        for c in range(m):
-            if remaining[c] > 0:
-                remaining[c] -= 1
-                vec[k] = c
-                rec(k + 1)
-                remaining[c] += 1
-        vec[k] = m
-        rec(k + 1)
-
-    rec(0)
-    return out
+    # depth first, each student's seat in school order and SELF last
+    left = [*problem._quota_vec, n]  # seats left per school and at SELF (m)
+    vec, out, c = [], [], 0  # c: the next seat to try for the student after vec
+    while True:
+        if len(vec) == n or c > m:
+            if len(vec) == n:
+                out.append(Matching._from_vector(problem, tuple(vec)))
+            if not vec:
+                return out
+            left[vec[-1]] += 1
+            c = vec.pop() + 1
+        elif left[c]:
+            left[c] -= 1
+            vec.append(c)
+            c = 0
+        else:
+            c += 1
 
 
 def is_individually_rational(problem: Problem, mu: Matching) -> bool:

@@ -1,12 +1,12 @@
 """Constructive farsighted improving paths toward mechanism outcomes.
 
-Each builder replays its mechanism's trace through one loop that turns,
-step by step, the clinch rounds, the students left unmatched outside any
-cycle, all ETTC pair cycles (one block) and then each TTC/FCT/CT cycle
-into short blocks of enforceable moves.  In a block each student holds
-one or more seats (in a cycle, the one at the school pointing at her; in
-ETTC, one per pair she has in the step's cycles) and is bound for one
-school:
+Each builder returns its path's matchings plus one coalition per move.
+It replays its mechanism's trace through one loop that turns, step by
+step, the clinch rounds, the students left unmatched outside any cycle,
+all ETTC pair cycles (one block) and then each TTC/FCT/CT cycle into
+short blocks of enforceable moves.  In a block each student holds one or
+more seats (in a cycle, the one at the school pointing at her; in ETTC,
+one per pair she has in the step's cycles) and is bound for one school:
 
 * insertion: each block student grabs her first held seat, evicting the
   lowest-priority occupant of a full school that holds none of them;
@@ -85,7 +85,7 @@ class _PathAccumulator:
             del self.matchings[pos + 1 :]
             del self.steps[pos:]
             return
-        self.steps.append(MoveStep(cur, target, Coalition(students, schools)))
+        self.steps.append(MoveStep(Coalition(students, schools)))
         self.matchings.append(target)
         self.positions[target] = len(self.matchings) - 1
         self.log.add(phase, detail, target)
@@ -205,8 +205,8 @@ def _replay(problem: Problem, mu: Matching, runner, outcome: str, log) -> PathCe
     if mu == target:
         raise IdentityError(f"matching already equals the {outcome} outcome")
     acc = _PathAccumulator(problem, mu, log or ConstructionLog())
-    for step in trace.steps:
-        label = f"step {step.step}"
+    for number, step in enumerate(trace.steps, 1):
+        label = f"step {number}"
         for rnd in step.clinch_rounds:
             _alignment_block(acc, rnd.clinches, label)
         # students left unmatched outside any cycle (ETTC only) give up their seats

@@ -249,7 +249,7 @@ def certificate_from_dict(problem: Problem, data) -> PathCertificate:
             raise InstanceParseError(
                 [f"step {k}: coalition names unknown agents {', '.join(unknown)}"]
             )
-        steps.append(MoveStep(matchings[k], matchings[k + 1], coalition))
+        steps.append(MoveStep(coalition))
     return PathCertificate(tuple(matchings), tuple(steps), horizon)
 
 
@@ -269,9 +269,9 @@ def trace_to_dict(trace: MechanismTrace) -> dict:
     out = {"mechanism": trace.mechanism, "steps": []}
     if trace.guarantees_initial:
         out["guarantees"] = {s: list(g) for s, g in trace.guarantees_initial.items()}
-    for st in trace.steps:
+    for number, st in enumerate(trace.steps, 1):
         entry = {
-            "step": st.step,
+            "step": number,
             "capacities": dict(st.capacities),
             "cycles": [str(c) for c in st.cycles],
             "matches": {
@@ -280,8 +280,8 @@ def trace_to_dict(trace: MechanismTrace) -> dict:
         }
         if st.clinch_rounds:
             entry["clinch_rounds"] = [
-                {"round": r.round, "clinches": [list(c) for c in r.clinches]}
-                for r in st.clinch_rounds
+                {"round": k, "clinches": [list(c) for c in r.clinches]}
+                for k, r in enumerate(st.clinch_rounds, 1)
             ]
         if st.excluded:
             entry["held_back"] = list(st.excluded)

@@ -550,6 +550,35 @@ class TestCommands:
         assert captured.err == ""
         assert captured.out.splitlines()[-1] == "pareto efficient: yes"
 
+    @pytest.mark.parametrize("command", ["enumerate", "find-sets"])
+    @pytest.mark.parametrize("n, m, quota", [(12, 4, 3), (2000, 20, 100)])
+    def test_past_the_enumeration_cap_exits_3(self, command, n, m, quota, tmp_path, capsys):
+        # the matchings are counted before any is built, so past the cap the
+        # command stops at once, and 2000 students recurse nowhere
+        students = tuple(f"i{k}" for k in range(1, n + 1))
+        schools = tuple(f"s{j}" for j in range(1, m + 1))
+        rng = random.Random(n)
+        p = Problem(students, schools, dict.fromkeys(schools, quota),
+                    {i: tuple(rng.sample(schools, 4)) for i in students},
+                    {s: tuple(rng.sample(students, n)) for s in schools})
+        big = tmp_path / "big.instance"
+        big.write_text(serialize_instance(p), encoding="utf-8")
+        assert main([command, str(big)]) == 3
+        captured = capsys.readouterr()
+        cap = 10**7 if command == "enumerate" else farsight.DEFAULT_SEARCH_CAP
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: more than {cap} matchings; raise the cap to enumerate this instance\n"
+        )
+
+    def test_non_integer_option_value(self, instance_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["phi", instance_file, "--from", START, "--horizon", "x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "schoolchoice phi: error: argument --horizon: invalid int value: 'x'"
+        )
+
     def test_cut_stable_set_search_exits_3(self, instance_file, capsys, monkeypatch):
         # a cut search prints no list, not even a partial one
         monkeypatch.setattr(farsight, "DEFAULT_NODE_BUDGET", 1)

@@ -100,34 +100,26 @@ def walkthrough(trading_instance, trading_goldens):
         Coalition({"i2", "i3"}, {"s1", "s2"}),
         Coalition({"i4"}, {"s3"}),
     ]
-    steps = tuple(
-        MoveStep(mus[k], mus[k + 1], coalitions[k]) for k in range(4)
-    )
-    return PathCertificate(tuple(mus), steps, FARSIGHTED)
+    return PathCertificate(tuple(mus), tuple(map(MoveStep, coalitions)), FARSIGHTED)
 
 
 class TestCanEnforce:
     def test_walkthrough_first_move(self, trading_instance, walkthrough):
         # i4 is pushed out without belonging to the coalition
-        step = walkthrough.steps[0]
-        assert can_enforce(trading_instance, step.source, step.target, step.coalition)
+        a, b = walkthrough.matchings[:2]
+        assert can_enforce(trading_instance, a, b, walkthrough.steps[0].coalition)
 
     def test_leavers_alone_can_destroy_their_matches(self, trading_instance, walkthrough):
-        step = walkthrough.steps[1]
-        assert can_enforce(trading_instance, step.source, step.target, step.coalition)
+        a, b = walkthrough.matchings[1:3]
+        assert can_enforce(trading_instance, a, b, walkthrough.steps[1].coalition)
 
     def test_missing_mandatory_members(self, trading_instance, walkthrough):
-        step = walkthrough.steps[0]
-        assert not can_enforce(
-            trading_instance, step.source, step.target, Coalition({"i2"}, set())
-        )
+        a, b = walkthrough.matchings[:2]
+        assert not can_enforce(trading_instance, a, b, Coalition({"i2"}, set()))
 
     def test_gaining_school_must_join(self, trading_instance, walkthrough):
-        step = walkthrough.steps[0]
-        assert not can_enforce(
-            trading_instance, step.source, step.target,
-            Coalition({"i2", "i3"}, {"s2"}),
-        )
+        a, b = walkthrough.matchings[:2]
+        assert not can_enforce(trading_instance, a, b, Coalition({"i2", "i3"}, {"s2"}))
 
 
 def oracle_can_enforce(problem, a, b, coalition):
@@ -223,10 +215,10 @@ class TestCanEnforceOracle:
         assert min(admits.values()) > 100
 
     def test_equal_endpoints_and_empty_coalitions(self, trading_instance, walkthrough):
-        step = walkthrough.steps[0]
+        a, b = walkthrough.matchings[:2]
         everyone = Coalition(set(trading_instance.students), set(trading_instance.schools))
-        assert not can_enforce(trading_instance, step.source, step.source, everyone)
-        assert not can_enforce(trading_instance, step.source, step.target, Coalition(set(), set()))
+        assert not can_enforce(trading_instance, a, a, everyone)
+        assert not can_enforce(trading_instance, a, b, Coalition(set(), set()))
 
     def test_shrinking_roster_needs_the_school_or_every_leaver(self, trading_instance):
         a = matching_of(trading_instance, i1="s1", i2="s1", i3="s2", i4="s3")
@@ -294,17 +286,15 @@ class TestSchoolMoveAdmissible:
 
 class TestFindEnforcingCoalition:
     def test_walkthrough_first_move(self, trading_instance, trading_goldens, walkthrough):
-        step = walkthrough.steps[0]
-        found = find_enforcing_coalition(
-            trading_instance, step.source, step.target, trading_goldens["ttc"]
-        )
+        a, b = walkthrough.matchings[:2]
+        found = find_enforcing_coalition(trading_instance, a, b, trading_goldens["ttc"])
         assert found is not None
-        assert can_enforce(trading_instance, step.source, step.target, found)
+        assert can_enforce(trading_instance, a, b, found)
         # every member willing: weak improvement toward the end, one strict
         ranks = [
             (
                 trading_instance.pref_rank(i, trading_goldens["ttc"].school_of(i)),
-                trading_instance.pref_rank(i, step.source.school_of(i)),
+                trading_instance.pref_rank(i, a.school_of(i)),
             )
             for i in found.students
         ]
@@ -312,13 +302,8 @@ class TestFindEnforcingCoalition:
         assert any(ra < rc for ra, rc in ranks)
 
     def test_no_strict_improver(self, trading_instance, trading_goldens, walkthrough):
-        step = walkthrough.steps[0]
-        assert (
-            find_enforcing_coalition(
-                trading_instance, step.source, step.target, step.source
-            )
-            is None
-        )
+        a, b = walkthrough.matchings[:2]
+        assert find_enforcing_coalition(trading_instance, a, b, a) is None
 
     def test_nobody_volunteers_to_lose_a_seat(self, trading_instance, trading_goldens):
         mu5 = matching_of(trading_instance, i1="s1", i2="s2", i3="s1", i4="self")
@@ -338,10 +323,9 @@ class TestFindEnforcingCoalition:
             ({"i2", "i3"}, {"s1", "s2"}),
             ({"i4"}, {"s3"}),
         ]
-        for step, (students, schools) in zip(walkthrough.steps, expected):
-            found = find_enforcing_coalition(
-                trading_instance, step.source, step.target, trading_goldens["ttc"]
-            )
+        moves = itertools.pairwise(walkthrough.matchings)
+        for (a, b), (students, schools) in zip(moves, expected):
+            found = find_enforcing_coalition(trading_instance, a, b, trading_goldens["ttc"])
             assert found == Coalition(students, schools)
 
     def test_every_search_move_passes_the_validator(self):
@@ -430,14 +414,13 @@ class TestPhi:
 
 def first_move_by(w: PathCertificate, coalition: Coalition) -> PathCertificate:
     """The walkthrough w with its first move credited to coalition."""
-    first = MoveStep(w.matchings[0], w.matchings[1], coalition)
-    return PathCertificate(w.matchings, (first,) + w.steps[1:], FARSIGHTED)
+    return PathCertificate(w.matchings, (MoveStep(coalition),) + w.steps[1:], FARSIGHTED)
 
 
 def one_move_by(p, w, coalition, **seats) -> PathCertificate:
     """One move from the start of walkthrough w to the matching of seats."""
     a, b = w.matchings[0], matching_of(p, **seats)
-    return PathCertificate((a, b), (MoveStep(a, b, coalition),), FARSIGHTED)
+    return PathCertificate((a, b), (MoveStep(coalition),), FARSIGHTED)
 
 
 class TestValidatePath:
@@ -446,20 +429,14 @@ class TestValidatePath:
 
     def test_reversed_path_rejected(self, trading_instance, walkthrough):
         mus = tuple(reversed(walkthrough.matchings))
-        steps = tuple(
-            MoveStep(mus[k], mus[k + 1], walkthrough.steps[-1 - k].coalition)
-            for k in range(len(mus) - 1)
-        )
-        cert = PathCertificate(mus, steps, FARSIGHTED)
+        cert = PathCertificate(mus, tuple(reversed(walkthrough.steps)), FARSIGHTED)
         violation = validate_path(trading_instance, cert)
         assert violation is not None
         assert "improve" in violation.condition or "enforce" in violation.condition
 
     def test_repeated_matching_rejected(self, trading_instance, walkthrough):
         mus = walkthrough.matchings + (walkthrough.matchings[0],)
-        steps = walkthrough.steps + (
-            MoveStep(mus[-2], mus[-1], Coalition({"i2"}, set())),
-        )
+        steps = walkthrough.steps + (MoveStep(Coalition({"i2"}, set())),)
         cert = PathCertificate(mus, steps, FARSIGHTED)
         violation = validate_path(trading_instance, cert)
         assert violation is not None
@@ -469,12 +446,10 @@ class TestValidatePath:
         (lambda p, w: PathCertificate(w.matchings[:1], (), FARSIGHTED),
          "path must contain at least two matchings"),
         (lambda p, w: PathCertificate(w.matchings[:2] + w.matchings[:1], w.steps[:1] + (
-            MoveStep(w.matchings[1], w.matchings[0], Coalition({"i2"}, set())),)),
+            MoveStep(Coalition({"i2"}, set())),)),
          "matchings not distinct"),
         (lambda p, w: PathCertificate(w.matchings, w.steps[:-1]),
          "step count does not match matching count"),
-        (lambda p, w: PathCertificate(w.matchings, w.steps[1:2] + w.steps[:1] + w.steps[2:]),
-         "step 0: step endpoints disagree with the matching sequence"),
         (lambda p, w: first_move_by(w, Coalition(set(), {"s1", "s2"})),
          "step 0: coalition has no student"),
         # i3 joins s1 without being in the coalition
@@ -492,7 +467,7 @@ class TestValidatePath:
             p, w, Coalition({"i2"}, {"s1", "s2"}), i1="s1", i2="s1", i3="s3", i4="self"),
          "step 0: school s1 cannot admit its newcomers"),
         (lambda p, w: PathCertificate(w.matchings, w.steps, 0), "invalid horizon 0"),
-    ], ids=["one-matching", "repeat", "step-count", "endpoints", "no-student", "enforce",
+    ], ids=["one-matching", "repeat", "step-count", "no-student", "enforce",
             "weakly-improve", "strict-improver", "admit", "horizon"])
     def test_every_violation_message(self, trading_instance, walkthrough, broken, message):
         violation = validate_path(trading_instance, broken(trading_instance, walkthrough))

@@ -49,7 +49,9 @@ class TestTopTradingCycles:
         p = Problem(("i1",), ("s1",), {"s1": 1}, {"i1": ()}, {"s1": ("i1",)})
         mu, trace = run_ttc(p)
         assert mu.school_of("i1") is SELF
-        assert trace.steps[0].cycles[0].is_self_cycle
+        [cycle] = trace.steps[0].cycles
+        assert cycle.is_self_cycle
+        assert (cycle.students, cycle.schools) == (("i1",), ())
 
 
 class TestDeferredAcceptance:
@@ -312,13 +314,13 @@ class TestHeirsAgainstPriorityOrders:
             g = {s: _in_student_order(p, p.priorities[s][: p.quota(s)]) for s in p.schools}
             assert trace.guarantees_initial == g, p
             matched: set = set()
-            for st in trace.steps:
+            for number, st in enumerate(trace.steps, 1):
                 [r] = st.clinch_rounds
-                assert (r.round, r.guarantees) == (1, g), (p, st.step)
+                assert r.guarantees == g, (p, number)
                 best = {i: _best_with_a_seat(p, i, st.capacities)
                         for i in p.students if i not in matched}
                 assert r.clinches == [(i, s) for i, s in best.items()
-                                      if s is not SELF and i in g[s]], (p, st.step)
+                                      if s is not SELF and i in g[s]], (p, number)
                 clinched += len(r.clinches)
                 matched.update(st.matches)
         assert clinched
@@ -332,7 +334,7 @@ class TestHeirsAgainstPriorityOrders:
             _, trace = run_ct(p)
             assert trace.steps[0].excluded == (), p
             matched: set = set()
-            for last, st in zip(trace.steps, trace.steps[1:]):
+            for number, (last, st) in enumerate(zip(trace.steps, trace.steps[1:]), 2):
                 capacity = dict(last.capacities)
                 for r in last.clinch_rounds:
                     for _, s in r.clinches:
@@ -342,7 +344,7 @@ class TestHeirsAgainstPriorityOrders:
                            for i in p.students if i not in matched}
                 assert st.excluded == tuple(
                     i for i, s in pointer.items() if s is not SELF and st.capacities[s] > 0
-                ), (p, st.step)
+                ), (p, number)
                 excluded += len(st.excluded)
         assert excluded
 
@@ -358,7 +360,7 @@ class TestHeirsAgainstPriorityOrders:
             p = _heir_problem(rng)
             _, trace = run_ct(p)
             matched: set = set()
-            for st in trace.steps:
+            for number, st in enumerate(trace.steps, 1):
                 capacity, barred = dict(st.capacities), set(st.excluded)
 
                 def guarantees():
@@ -380,14 +382,13 @@ class TestHeirsAgainstPriorityOrders:
                     ]
 
                 for k, r in enumerate(st.clinch_rounds, 1):
-                    assert r.round == k
                     g = guarantees()
-                    assert r.guarantees == g, (p, st.step, k)
-                    assert r.clinches == clinches(g), (p, st.step, k)
+                    assert r.guarantees == g, (p, number, k)
+                    assert r.clinches == clinches(g), (p, number, k)
                     for i, s in r.clinches:
                         matched.add(i)
                         capacity[s] -= 1
-                assert not clinches(guarantees()), (p, st.step)
+                assert not clinches(guarantees()), (p, number)
                 matched.update(st.matches)
 
     def test_ct_reads_no_heir_window_after_trading(self, monkeypatch):
@@ -420,19 +421,19 @@ class TestHeirsAgainstPriorityOrders:
             p = _heir_problem(rng)
             _, trace = run_ettc(p)
             matched: set = set()
-            for st in trace.steps:
+            for number, st in enumerate(trace.steps, 1):
                 heirs = {s: _top_unmatched(p, s, matched, st.capacities) for s in p.schools}
                 pairs = sorted(
                     ((i, s) for s in p.schools for i in heirs[s]),
                     key=lambda pair: (p.student_index(pair[0]), p.school_index(pair[1])),
                 )
-                assert st.pairs == pairs, (p, st.step)
+                assert st.pairs == pairs, (p, number)
                 paired = {s for _, s in pairs}
                 for cyc in st.pair_cycles:
                     for (i, s), nxt in zip(cyc, cyc[1:] + cyc[:1]):
                         best = next(t for t in p.preferences[i] if t in paired)
                         holder = min(heirs[best], key=lambda j: p.priority_rank(s, j))
-                        assert nxt == (holder, best), (p, st.step, (i, s))
+                        assert nxt == (holder, best), (p, number, (i, s))
                 matched.update(st.matches)
 
 

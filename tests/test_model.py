@@ -202,7 +202,8 @@ class TestEnumeration:
             p = random_problem(rng, max_students=5, max_schools=4)
             assert len(enumerate_matchings(p)) == brute_force_count(p)
 
-    def test_capacity_guard(self):
+    def test_capacity_guard(self, monkeypatch):
+        # 71,965,085 matchings: they are counted, and none is built
         students = tuple(f"i{k}" for k in range(12))
         schools = ("s1", "s2", "s3", "s4")
         p = Problem(
@@ -210,8 +211,13 @@ class TestEnumeration:
             {i: schools for i in students},
             {s: students for s in schools},
         )
-        with pytest.raises(CapacityError):
-            enumerate_matchings(p, cap=1000)
+        built = []
+        monkeypatch.setattr(Matching, "_from_vector", classmethod(
+            lambda cls, problem, vec: built.append(vec)))
+        for cap in (1000, 10**7, 71_965_084):
+            with pytest.raises(CapacityError):
+                enumerate_matchings(p, cap=cap)
+            assert built == [], cap
 
     def test_cap_is_the_most_matchings_listed(self, trading_instance, trading_universe):
         assert enumerate_matchings(trading_instance, cap=115) == trading_universe
@@ -220,6 +226,26 @@ class TestEnumeration:
         assert str(err.value) == (
             "more than 114 matchings; raise the cap to enumerate this instance"
         )
+        # the count that decides the cap is exact
+        rng = random.Random(12)
+        for _ in range(300):
+            p = random_problem(rng, max_students=6, max_schools=4)
+            universe = enumerate_matchings(p)
+            assert enumerate_matchings(p, cap=len(universe)) == universe
+            if len(universe) > 1:
+                with pytest.raises(CapacityError):
+                    enumerate_matchings(p, cap=len(universe) - 1)
+
+    def test_one_seat_among_1200_students(self):
+        # one matching per seated student and the empty one; a walk that
+        # recursed once per student could not list them
+        students = tuple(f"i{k}" for k in range(1, 1201))
+        p = Problem(students, ("s1",), {"s1": 1}, {i: ("s1",) for i in students},
+                    {"s1": students})
+        matchings = enumerate_matchings(p)
+        assert len(matchings) == 1201
+        assert [mu.school_of("i1") for mu in matchings[:2]] == ["s1", SELF]
+        assert matchings[-1] == p.empty_matching()
 
     def test_includes_irrational_assignments(self):
         p = Problem(
@@ -235,6 +261,9 @@ class TestSelfToken:
         assert copy.deepcopy(SELF) is SELF
         assert copy.deepcopy({"i1": SELF})["i1"] is SELF
         assert pickle.loads(pickle.dumps(SELF)) is SELF
+
+    def test_repr(self):
+        assert repr(SELF) == "SELF"
 
 
 class TestMatchingInvariants:

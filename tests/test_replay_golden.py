@@ -74,8 +74,8 @@ def _mechanism_record(problem, names=tuple(sorted(MECHANISMS))) -> dict:
             rec["order"] = [list(st.matches) for st in trace.steps]
             rec["guarantees"] = [
                 [
-                    [r.round, {s: list(g) for s, g in r.guarantees.items()}]
-                    for r in st.clinch_rounds
+                    [k, {s: list(g) for s, g in r.guarantees.items()}]
+                    for k, r in enumerate(st.clinch_rounds, 1)
                 ]
                 for st in trace.steps
             ]
